@@ -5,7 +5,7 @@ metrics around it."""
 from .baseline import BaselineCostConfig, baseline_cycles
 from .isa import DcF, DcP, DlI, DlM, assemble, decode, disassemble, encode
 from .mapper import (LayerDescriptor, MappingPlan, NotDimcEligibleError,
-                     lower, lower_compressed, ops_count, plan_mapping)
+                     lower, ops_count, plan_mapping)
 from .metrics import PerfReport, ans, gops, peak_gops, speedup
 from .sim import (Program, Repeat, SimOutcome, TimingModel, VClear, VLoad,
                   VStore, class_of, execute, run_layer)
@@ -17,7 +17,7 @@ __all__ = [
     "BaselineCostConfig", "baseline_cycles",
     "DcF", "DcP", "DlI", "DlM", "assemble", "decode", "disassemble", "encode",
     "LayerDescriptor", "MappingPlan", "NotDimcEligibleError",
-    "lower", "lower_compressed", "ops_count", "plan_mapping",
+    "lower", "ops_count", "plan_mapping",
     "PerfReport", "ans", "gops", "peak_gops", "speedup",
     "Program", "Repeat", "SimOutcome", "TimingModel",
     "VClear", "VLoad", "VStore", "class_of", "execute", "run_layer",

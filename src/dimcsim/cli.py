@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 verification mismatch, 2 input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 import zlib
 from dataclasses import dataclass
@@ -36,11 +38,27 @@ class WorkloadFile:
     entries: tuple
 
 
+_LAYER_INTS = ("ich", "och", "h", "w", "kh", "kw", "stride", "padding")
+_LAYER_KEYS = ("name", "kind", "precision") + _LAYER_INTS
+
+
+def _check_keys(obj: dict, known, where: str) -> None:
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise WorkloadError(f"{where}: unknown keys {unknown}")
+
+
 def _parse_precision(obj, where: str) -> PrecisionMode:
     if not isinstance(obj, dict):
         raise WorkloadError(f"{where}: precision must be an object")
+    _check_keys(obj, ("bits", "signed", "signed_weights"), f"{where}: precision")
+    bits = obj.get("bits", 4)
+    if isinstance(bits, bool) or not isinstance(bits, int):
+        raise WorkloadError(f"{where}: precision bits must be an integer, got {bits!r}")
+    if not all(isinstance(obj.get(key, True), bool) for key in ("signed", "signed_weights")):
+        raise WorkloadError(f"{where}: precision signedness must be true or false")
     try:
-        return PrecisionMode(bits=obj.get("bits", 4),
+        return PrecisionMode(bits=bits,
                              input_signed=obj.get("signed", True),
                              weight_signed=obj.get("signed_weights", obj.get("signed", True)))
     except ValueError as exc:
@@ -59,6 +77,7 @@ def load_workload(source) -> WorkloadFile:
         raise WorkloadError(f"{source}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
         raise WorkloadError(f"{source}: expected an object with a 'layers' list")
+    _check_keys(doc, ("network", "default_precision", "layers"), str(source))
     default_prec = _parse_precision(doc.get("default_precision", {}), f"{source}")
     entries = []
     for idx, item in enumerate(doc["layers"]):
@@ -66,16 +85,20 @@ def load_workload(source) -> WorkloadFile:
         if not isinstance(item, dict):
             raise WorkloadError(f"{where}: expected an object")
         name = item.get("name", f"layer{idx}")
+        if not isinstance(name, str):
+            raise WorkloadError(f"{where}: name must be a string, got {name!r}")
         where = f"{source}: layer {idx} ({name})"
+        if any(name == seen for seen, _ in entries):
+            raise WorkloadError(f"{where}: duplicate layer name")
+        _check_keys(item, _LAYER_KEYS, where)
         prec = default_prec
         if "precision" in item:
             prec = _parse_precision(item["precision"], where)
-        kwargs = {k: item[k] for k in ("ich", "och", "h", "w", "kh", "kw",
-                                       "stride", "padding") if k in item}
+        kwargs = {k: item[k] for k in _LAYER_INTS if k in item}
         try:
             layer = mapper.LayerDescriptor(kind=item.get("kind", "conv"),
                                            precision=prec, **kwargs)
-        except (mapper.MappingError, TypeError, ValueError) as exc:
+        except mapper.MappingError as exc:
             raise WorkloadError(f"{where}: {exc}") from None
         entries.append((name, layer))
     if not entries:
@@ -93,36 +116,49 @@ def _random_tensors(layer: mapper.LayerDescriptor, seed: int):
     return inputs, weights
 
 
-def _verify_layer(name, layer, plan, timing, compressed_cycles, trace_dir):
-    """Full functional run against the convolution reference.
+def _verify_layer(name, lowering, timing, extrapolated_cycles, trace_path):
+    """Functional run of the costed program against the convolution reference.
 
     Returns an error string on mismatch, None when the layer checks out.
     """
-    lowering = mapper.lower(layer, plan)
+    layer = lowering.layer
     inputs, weights = _random_tensors(layer, _VERIFY_SEED ^ zlib.crc32(name.encode()))
-    trace = [] if trace_dir else None
+    trace = [] if trace_path else None
     outcome, got = sim.run_layer(lowering, timing, inputs, weights, trace=trace)
-    if outcome.total_cycles != compressed_cycles:
-        return (f"{name}: loop-compressed cycles {compressed_cycles} "
-                f"!= traced cycles {outcome.total_cycles}")
+    if outcome.total_cycles != extrapolated_cycles:
+        return (f"{name}: extrapolated cycles {extrapolated_cycles} "
+                f"!= walked cycles {outcome.total_cycles}")
     want = oracle.quantize_partials(
         oracle.conv_partials(inputs, weights, layer.stride, layer.padding),
         lowering.quant)
-    if trace_dir:
-        sim.write_trace_csv(trace, Path(trace_dir) / f"{name}.csv")
+    if trace_path:
+        sim.write_trace_csv(trace, trace_path)
     if not np.array_equal(got, want):
         bad = int(np.argwhere(got != want)[0][2])
         return f"{name}: output mismatch against the convolution reference (first bad channel {bad})"
     return None
 
 
-def cmd_simulate(args) -> int:
-    workload = load_workload(args.workload)
+def _timing_model(args) -> sim.TimingModel:
     timing = sim.TimingModel.from_json_file(args.timing) if args.timing else sim.TimingModel()
     if args.freq is not None:
-        timing.freq_hz = args.freq
+        timing = dataclasses.replace(timing, freq_hz=args.freq)
+    return timing
+
+
+def cmd_simulate(args) -> int:
+    workload = load_workload(args.workload)
+    timing = _timing_model(args)
+    if not (math.isfinite(args.area_ratio) and args.area_ratio > 0):
+        raise ValueError(f"--area-ratio must be positive and finite, got {args.area_ratio}")
+    trace_paths = {}
     if args.trace:
-        Path(args.trace).mkdir(parents=True, exist_ok=True)
+        root = Path(args.trace).resolve()
+        trace_paths = {name: (root / f"{name}.csv").resolve() for name, _ in workload.entries}
+        for name, path in trace_paths.items():
+            if path.parent != root:
+                raise WorkloadError(f"layer {name!r}: trace file would fall outside {args.trace}")
+        root.mkdir(parents=True, exist_ok=True)
     reports = []
     ineligible = []
     failures = []
@@ -132,14 +168,14 @@ def cmd_simulate(args) -> int:
         except mapper.NotDimcEligibleError as exc:
             ineligible.append((name, str(exc)))
             continue
-        program = mapper.lower_compressed(layer, plan)
-        outcome = sim.execute(program, timing)
+        lowering = mapper.lower(layer, plan)
+        outcome = sim.execute(lowering.program, timing)
         reports.append(metrics.build_report(
             name, mapper.ops_count(layer), outcome, baseline.baseline_cycles(layer),
             area_ratio=args.area_ratio, freq_hz=timing.freq_hz))
         if args.verify or args.trace:
-            problem = _verify_layer(name, layer, plan, timing,
-                                    outcome.total_cycles, args.trace)
+            problem = _verify_layer(name, lowering, timing, outcome.total_cycles,
+                                    trace_paths.get(name))
             if problem:
                 failures.append(problem)
     header = {
@@ -189,7 +225,7 @@ def run_sweep(mode: str, points, size: int = 16,
     for point in points:
         layer = sweep_layer(mode, point, size)
         plan = mapper.plan_mapping(layer)
-        outcome = sim.execute(mapper.lower_compressed(layer, plan), timing)
+        outcome = sim.execute(mapper.lower(layer, plan).program, timing)
         base = baseline.baseline_cycles(layer)
         rows.append((point, plan.tiling_factor, plan.group_count,
                      outcome.total_cycles, base,
@@ -204,10 +240,7 @@ def cmd_sweep(args) -> int:
                              else _SWEEP_GROUPING_POINTS)
     if any(p < 1 for p in points):
         raise WorkloadError(f"sweep points must be >= 1, got {points}")
-    timing = sim.TimingModel.from_json_file(args.timing) if args.timing else sim.TimingModel()
-    if args.freq is not None:
-        timing.freq_hz = args.freq
-    rows = run_sweep(args.mode, points, args.size, timing)
+    rows = run_sweep(args.mode, points, args.size, _timing_model(args))
     metrics.write_sweep_csv(rows, args.output)
     print(f"{args.mode} sweep: {len(rows)} point(s) -> {args.output}")
     return 0

@@ -18,7 +18,9 @@ load, which keeps the instruction pattern identical for every output
 position. Patches are pre-gathered im2col style, one zero-padded record
 per output position mirroring the per-row weight layout element for
 element; this realizes the conservative no-reuse policy where each patch
-is fetched from memory in full.
+is fetched from memory in full. Records of one region sit at a fixed
+distance, so every address is affine in (group, position) and a layer
+lowers to one loop-compressed program.
 
     weights  : och records of ceil(kernel_bits/64)*8 bytes each
     patches  : oh*ow records, same record size as weights
@@ -49,7 +51,8 @@ guarantee across kernel reloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,6 +66,10 @@ REG_PART = 17
 REG_OUT = 25
 
 _PARTIAL_BATCH = 16
+
+# address regions of the external-memory image; Repeat strides list their
+# advances in this order
+_WEIGHTS, _PATCHES, _OUTPUTS = range(3)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -101,9 +108,12 @@ class LayerDescriptor:
             raise MappingError(f"unknown layer kind {self.kind!r}")
         if self.kind == "fc" and (self.h, self.w, self.kh, self.kw) != (1, 1, 1, 1):
             raise MappingError("fc layers must have h = w = kh = kw = 1")
-        for name in ("ich", "och", "h", "w", "kh", "kw", "stride"):
-            if getattr(self, name) < 1:
-                raise MappingError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("ich", "och", "h", "w", "kh", "kw", "stride", "padding"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise MappingError(f"{name} must be an integer, got {value!r}")
+            if value < 1 and name != "padding":
+                raise MappingError(f"{name} must be >= 1, got {value}")
         if self.padding < 0:
             raise MappingError(f"padding must be >= 0, got {self.padding}")
         if self.oh < 1 or self.ow < 1:
@@ -127,13 +137,12 @@ class LayerDescriptor:
 
 @dataclass(frozen=True)
 class MappingPlan:
-    """Derived tiling/grouping factors and the per-group instruction budget."""
+    """Derived tiling and grouping factors."""
 
     kernel_bits: int
     tiling_factor: int
     kernels_per_group: int
     group_count: int
-    budget: dict = field(default_factory=dict)
 
     @property
     def tiled(self) -> bool:
@@ -157,14 +166,8 @@ def plan_mapping(layer: LayerDescriptor) -> MappingPlan:
             f"kernel needs {tiling} rows, more than the {ROWS} available")
     per_group = ROWS // tiling
     groups = _ceil_div(layer.och, per_group)
-    budget = {
-        "dlm_sector_loads_per_group": per_group * _row_sector_count(kernel_bits),
-        "dli_sector_loads_per_position": _row_sector_count(kernel_bits),
-        "computes_per_position_per_kernel": tiling,
-    }
     return MappingPlan(kernel_bits=kernel_bits, tiling_factor=tiling,
-                       kernels_per_group=per_group, group_count=groups,
-                       budget=budget)
+                       kernels_per_group=per_group, group_count=groups)
 
 
 def ops_count(layer: LayerDescriptor) -> int:
@@ -186,21 +189,6 @@ def _sector_plan(chunk_bits: int):
     return plan
 
 
-def _row_sector_count(kernel_bits: int) -> int:
-    total = 0
-    for t in range(_ceil_div(kernel_bits, ROW_BITS)):
-        total += len(_sector_plan(_chunk_bits(kernel_bits, t)))
-    return total
-
-
-def _group_sizes(layer: LayerDescriptor, plan: MappingPlan) -> list[int]:
-    sizes = [plan.kernels_per_group] * (layer.och // plan.kernels_per_group)
-    rest = layer.och % plan.kernels_per_group
-    if rest:
-        sizes.append(rest)
-    return sizes
-
-
 def _partial_slot(k: int) -> tuple[int, int]:
     slot = k % _PARTIAL_BATCH
     return REG_PART + slot // 2, slot % 2
@@ -212,25 +200,24 @@ def _final_target(k: int) -> tuple[int, int, int]:
 
 
 class _Layout:
-    """Byte offsets of the weight, patch and output regions."""
+    """Kernel group sizes and the byte offsets of the patch and output
+    regions; weights start at 0."""
 
     def __init__(self, layer: LayerDescriptor, plan: MappingPlan, terminal: str):
+        full, rest = divmod(layer.och, plan.kernels_per_group)
+        self.group_sizes = [plan.kernels_per_group] * full + ([rest] if rest else [])
         self.record_bytes = _ceil_div(plan.kernel_bits, 64) * 8
-        self.weights_base = 0
         self.patches_base = layer.och * self.record_bytes
         positions = layer.oh * layer.ow
         self.out_base = []
         self.out_record = []
         offset = self.patches_base + positions * self.record_bytes
-        for size in _group_sizes(layer, plan):
+        for size in self.group_sizes:
             if terminal == "final":
                 rec = _ceil_div(_ceil_div(size, 2), 8) * 8
             else:
-                # 16-kernel batches of 32-bit partials, each batch padded
-                # to whole stored registers
-                rec = (size // _PARTIAL_BATCH) * 8 * _PARTIAL_BATCH // 2
-                rest = size % _PARTIAL_BATCH
-                rec += _ceil_div(rest, 2) * 8
+                # 32-bit partials, stored two per register
+                rec = _ceil_div(size, 2) * 8
             self.out_base.append(offset)
             self.out_record.append(rec)
             offset += positions * rec
@@ -244,101 +231,86 @@ class _Emitter:
         self.plan = plan
         self.terminal = terminal
         self.layout = layout
-        self.group_sizes = _group_sizes(layer, plan)
 
-    def _chunk_loads(self, out: list, base: int, chunk_bits: int, make) -> None:
+    def _chunk_loads(self, out: list, base: int, region: int, chunk_bits: int,
+                     make) -> None:
         # batch every slice load first so the loads pipeline, then issue
         # the sector transfers
         for i in range(_ceil_div(chunk_bits, 64)):
-            out.append(VLoad(REG_STAGE + i, base + 8 * i))
+            out.append(VLoad(REG_STAGE + i, base + 8 * i, region))
         for sec, nvec, mask in _sector_plan(chunk_bits):
             out.append(make(REG_STAGE + 4 * sec, nvec, sec, mask))
 
     def group_prologue(self, g: int) -> list:
-        layer, plan, layout = self.layer, self.plan, self.layout
+        plan, layout = self.plan, self.layout
         # a kernel (re)load starts only once the pipeline has drained
         out: list = [Barrier()]
-        size = self.group_sizes[g]
         if self.terminal == "final":
             for j in range(layout.out_record[g] // 8):
                 out.append(VClear(REG_OUT + j))
-        for k in range(size):
-            record = layout.weights_base + (g * plan.kernels_per_group + k) * layout.record_bytes
+        for k in range(layout.group_sizes[g]):
+            record = (g * plan.kernels_per_group + k) * layout.record_bytes
             for t in range(plan.tiling_factor):
                 row = k * plan.tiling_factor + t
                 bits = _chunk_bits(plan.kernel_bits, t)
-                self._chunk_loads(
-                    out, record + t * (ROW_BITS // 8), bits,
-                    lambda vs1, nvec, sec, mask, row=row: DlM(
-                        vs1=vs1, nvec=nvec, sec=sec, mask=mask, m_row=row))
+                self._chunk_loads(out, record + t * (ROW_BITS // 8), _WEIGHTS, bits,
+                                  functools.partial(DlM, m_row=row))
         return out
 
-    def position_block(self, g: int, pos: int) -> list:
-        layer, plan, layout = self.layer, self.plan, self.layout
-        size = self.group_sizes[g]
+    def position_block(self, g: int) -> list:
+        """Group g's block for its first output position."""
+        plan, layout = self.plan, self.layout
+        size = layout.group_sizes[g]
         tiles = plan.tiling_factor
-        patch = layout.patches_base + pos * layout.record_bytes
-        out_rec = layout.out_base[g] + pos * layout.out_record[g]
+        out_rec = layout.out_base[g]
         out: list = []
-        if self.terminal == "partial" and tiles == 1:
-            self._chunk_loads(out, patch, plan.kernel_bits, self._dli)
-            for start in range(0, size, _PARTIAL_BATCH):
-                batch = min(_PARTIAL_BATCH, size - start)
-                for k in range(start, start + batch):
-                    reg, half = _partial_slot(k)
-                    out.append(DcP(vs1=REG_ZERO, vd=reg, sh=0, dh=half, m_row=k))
-                for j in range(_ceil_div(batch, 2)):
-                    out.append(VStore(REG_PART + j, out_rec + (start // 2) * 8 + 8 * j))
-            return out
         for t in range(tiles):
-            bits = _chunk_bits(plan.kernel_bits, t)
-            self._chunk_loads(out, patch + t * (ROW_BITS // 8), bits, self._dli)
+            self._chunk_loads(out, layout.patches_base + t * (ROW_BITS // 8), _PATCHES,
+                              _chunk_bits(plan.kernel_bits, t), DlI)
             last = t == tiles - 1
-            for k in range(size):
-                row = k * tiles + t
-                preg, phalf = _partial_slot(k)
-                src, shalf = (REG_ZERO, 0) if t == 0 else (preg, phalf)
-                if not last:
-                    out.append(DcP(vs1=src, vd=preg, sh=shalf, dh=phalf, m_row=row))
-                elif self.terminal == "partial":
-                    out.append(DcP(vs1=src, vd=preg, sh=shalf, dh=phalf, m_row=row))
-                else:
-                    oreg, odh, obidx = _final_target(k)
-                    out.append(DcF(vs1=src, vd=oreg, sh=shalf, dh=odh,
-                                   m_row=row, bidx=obidx))
-        if self.terminal == "partial":
-            for j in range(_ceil_div(size, 2)):
-                out.append(VStore(REG_PART + j, out_rec + 8 * j))
-        else:
+            # a partial-sum flow stores each batch of partials before the
+            # next batch reuses its registers; only untiled groups exceed one
+            for start in range(0, size, _PARTIAL_BATCH):
+                batch = range(start, min(start + _PARTIAL_BATCH, size))
+                for k in batch:
+                    row = k * tiles + t
+                    preg, phalf = _partial_slot(k)
+                    src, shalf = (REG_ZERO, 0) if t == 0 else (preg, phalf)
+                    if last and self.terminal == "final":
+                        oreg, odh, obidx = _final_target(k)
+                        out.append(DcF(vs1=src, vd=oreg, sh=shalf, dh=odh,
+                                       m_row=row, bidx=obidx))
+                    else:
+                        out.append(DcP(vs1=src, vd=preg, sh=shalf, dh=phalf, m_row=row))
+                if last and self.terminal == "partial":
+                    for j in range(_ceil_div(len(batch), 2)):
+                        out.append(VStore(REG_PART + j, out_rec + 4 * start + 8 * j, _OUTPUTS))
+        if self.terminal == "final":
             for j in range(layout.out_record[g] // 8):
-                out.append(VStore(REG_OUT + j, out_rec + 8 * j))
+                out.append(VStore(REG_OUT + j, out_rec + 8 * j, _OUTPUTS))
         return out
 
-    @staticmethod
-    def _dli(vs1, nvec, sec, mask):
-        return DlI(vs1=vs1, nvec=nvec, sec=sec, mask=mask)
-
-    def flat(self) -> list:
-        body: list = []
+    def _group(self, g: int) -> list:
+        """Group g's prologue, then its block repeated over the positions."""
+        layout = self.layout
         positions = self.layer.oh * self.layer.ow
-        for g in range(len(self.group_sizes)):
-            body.extend(self.group_prologue(g))
-            for pos in range(positions):
-                body.extend(self.position_block(g, pos))
-        return body
+        return self.group_prologue(g) + [
+            Repeat(positions, self.position_block(g),
+                   (0, layout.record_bytes, layout.out_record[g]))]
 
-    def compressed(self) -> list:
-        body: list = []
-        positions = self.layer.oh * self.layer.ow
+    def emit(self) -> list:
+        """The full groups as one Repeat (they share a record size, so they
+        sit at fixed distances), then the partial group if any."""
+        layout = self.layout
         full = self.layer.och // self.plan.kernels_per_group
+        body: list = []
         if full:
-            group = tuple(self.group_prologue(0)) + (
-                Repeat(positions, self.position_block(0, 0)),)
-            body.append(Repeat(full, group))
-        if self.layer.och % self.plan.kernels_per_group:
-            g = len(self.group_sizes) - 1
-            body.extend(self.group_prologue(g))
-            body.append(Repeat(positions, self.position_block(g, 0)))
+            positions = self.layer.oh * self.layer.ow
+            body.append(Repeat(full, self._group(0), (
+                self.plan.kernels_per_group * layout.record_bytes, 0,
+                positions * layout.out_record[0])))
+        if full < len(layout.group_sizes):
+            body.extend(self._group(full))
         return body
 
 
@@ -365,22 +337,18 @@ class Lowering:
                                mode.input_range(), "inputs")
         weights = self._checked(weights, (layer.och, layer.kh, layer.kw, layer.ich),
                                 mode.weight_range(), "weights")
-        memory = bytearray(layout.total_bytes)
-        for k in range(layer.och):
-            packed = pack_elements(weights[k].reshape(-1), mode.bits).tobytes()
-            base = layout.weights_base + k * layout.record_bytes
-            memory[base:base + len(packed)] = packed
-        pad = layer.padding
+        pad, stride = layer.padding, layer.stride
         padded = np.zeros((layer.h + 2 * pad, layer.w + 2 * pad, layer.ich), dtype=np.int64)
         padded[pad:pad + layer.h, pad:pad + layer.w] = inputs
-        for oy in range(layer.oh):
-            for ox in range(layer.ow):
-                window = padded[oy * layer.stride:oy * layer.stride + layer.kh,
-                                ox * layer.stride:ox * layer.stride + layer.kw]
-                packed = pack_elements(window.reshape(-1), mode.bits).tobytes()
-                base = layout.patches_base + (oy * layer.ow + ox) * layout.record_bytes
-                memory[base:base + len(packed)] = packed
-        return memory
+        windows = np.lib.stride_tricks.sliding_window_view(padded, (layer.kh, layer.kw, layer.ich))
+        patches = windows[:layer.oh * stride:stride, :layer.ow * stride:stride]
+        memory = bytearray()
+        for rows in (weights.reshape(layer.och, -1), patches.reshape(layer.oh * layer.ow, -1)):
+            # one zero-padded record per kernel or output position
+            records = np.zeros((len(rows), layout.record_bytes * 8 // mode.bits), dtype=np.int64)
+            records[:, :rows.shape[1]] = rows
+            memory += pack_elements(records.reshape(-1), mode.bits).tobytes()
+        return memory + bytes(layout.total_bytes - len(memory))
 
     def extract_output(self, memory) -> np.ndarray:
         """Read the output tensor (oh, ow, och) back from the memory image.
@@ -388,22 +356,20 @@ class Lowering:
         Quantized flows return nibble values, partial flows the
         sign-extended 24-bit partial sums.
         """
-        layer, plan, layout = self.layer, self.plan, self._layout
-        out = np.zeros((layer.oh, layer.ow, layer.och), dtype=np.int64)
+        layer, layout = self.layer, self._layout
         positions = layer.oh * layer.ow
-        for g, size in enumerate(_group_sizes(layer, plan)):
-            for pos in range(positions):
-                rec = layout.out_base[g] + pos * layout.out_record[g]
-                oy, ox = divmod(pos, layer.ow)
-                for k in range(size):
-                    och = g * plan.kernels_per_group + k
-                    if self.terminal == "final":
-                        byte = memory[rec + k // 2]
-                        out[oy, ox, och] = byte >> 4 if k % 2 else byte & 0xF
-                    else:
-                        out[oy, ox, och] = int.from_bytes(
-                            memory[rec + 4 * k:rec + 4 * k + 4], "little", signed=True)
-        return out
+        groups = []
+        for g, size in enumerate(layout.group_sizes):
+            rec = layout.out_record[g]
+            region = np.frombuffer(memory, np.uint8, positions * rec, layout.out_base[g])
+            if self.terminal == "final":
+                # kernel k is nibble k % 2 (low first) of byte k // 2
+                values = np.stack([region & 0xF, region >> 4], axis=-1)
+            else:
+                values = region.view("<i4")
+            groups.append(values.reshape(positions, -1)[:, :size])
+        out = np.concatenate(groups, axis=1).astype(np.int64)
+        return out.reshape(layer.oh, layer.ow, layer.och)
 
     @staticmethod
     def _checked(tensor, shape, bounds, name) -> np.ndarray:
@@ -418,42 +384,34 @@ class Lowering:
         return arr.astype(np.int64)
 
 
-def _resolve(layer: LayerDescriptor, plan: MappingPlan | None,
-             terminal: str, quant: QuantConfig | None):
+def lower(layer: LayerDescriptor, plan: MappingPlan | None = None, *,
+          terminal: str = "final", quant: QuantConfig | None = None) -> Lowering:
+    """Lower a layer to its loop-compressed program and memory layout.
+
+    The program is a Repeat over the full kernel groups (a group prologue
+    plus a Repeat over output positions), then the partial group if any.
+    Addresses are affine in the loop indices, so ``sim.execute`` can cost it
+    from its steady state or walk every iteration, with identical cycles.
+
+    ``terminal`` picks how each kernel's chain ends: "final" emits dc.f
+    (ReLU + requantization, packed nibbles), "partial" emits dc.p and
+    stores raw partial sums.
+    """
     if terminal not in ("final", "partial"):
         raise MappingError(f"terminal must be 'final' or 'partial', got {terminal!r}")
     if plan is None:
         plan = plan_mapping(layer)
     elif plan != plan_mapping(layer):
         raise MappingError("mapping plan does not match the layer")
-    return plan, quant if quant is not None else QuantConfig()
-
-
-def lower(layer: LayerDescriptor, plan: MappingPlan | None = None, *,
-          terminal: str = "final", quant: QuantConfig | None = None) -> Lowering:
-    """Lower a layer to a flat, functionally executable instruction stream.
-
-    ``terminal`` picks how each kernel's chain ends: "final" emits dc.f
-    (ReLU + requantization, packed nibbles), "partial" emits dc.p and
-    stores raw partial sums.
-    """
-    plan, quant = _resolve(layer, plan, terminal, quant)
+    quant = quant if quant is not None else QuantConfig()
     layout = _Layout(layer, plan, terminal)
-    emitter = _Emitter(layer, plan, terminal, layout)
-    program = Program(emitter.flat(), mode=layer.precision, quant=quant)
+    program = Program(_Emitter(layer, plan, terminal, layout).emit(),
+                      mode=layer.precision, quant=quant)
     return Lowering(layer=layer, plan=plan, terminal=terminal, quant=quant,
                     program=program, _layout=layout)
 
 
 def lower_compressed(layer: LayerDescriptor, plan: MappingPlan | None = None, *,
                      terminal: str = "final", quant: QuantConfig | None = None) -> Program:
-    """Lower a layer to a loop-compressed program for timing-only runs.
-
-    Cycle counts match the flat stream exactly; only memory addresses
-    differ between the represented iterations, and those never influence
-    timing.
-    """
-    plan, quant = _resolve(layer, plan, terminal, quant)
-    layout = _Layout(layer, plan, terminal)
-    emitter = _Emitter(layer, plan, terminal, layout)
-    return Program(emitter.compressed(), mode=layer.precision, quant=quant)
+    """``lower(...).program``, kept for ``bench/workloads.py``, its only caller."""
+    return lower(layer, plan, terminal=terminal, quant=quant).program

@@ -39,19 +39,20 @@ other instruction flushes the packer, so the next dc.f starts a fresh
 
 Loop compression
 ----------------
-A program may contain ``Repeat`` nodes whose body is a fixed instruction
-block standing for iterations that differ only in memory addresses (which
-never affect timing). Such programs are costed timing-only: iterations are
-simulated until two consecutive ones leave the scoreboard in the same
-relative state and advance time by the same amount, after which the
-remaining iterations are applied as a closed-form shift. The resulting
-cycle counts are identical to full tracing. Functional execution requires
-a flat program.
+A ``Repeat`` node stands for iterations of a fixed instruction block that
+differ only in memory addresses: each ``VLoad``/``VStore`` names an address
+region, which each ``Repeat`` advances by its own stride per iteration. A
+run without memory image or trace is timing-only: iterations are simulated
+until two consecutive ones leave the scoreboard in the same relative state
+and advance time by the same amount, and the remaining ones are applied as
+a closed-form shift. Otherwise every iteration is walked with its addresses
+rebased. Addresses never influence timing, so both paths give equal cycles.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .isa import DcF, DcP, DlI, DlM
@@ -75,6 +76,9 @@ _CLASS_BY_KIND = {
     "dc.f": "computing",
 }
 
+# the mapper keeps weights, patches and outputs in address regions 0-2
+NUM_REGIONS = 3
+
 
 class SimulationError(Exception):
     """Raised when a program cannot execute; carries the offending pc."""
@@ -88,10 +92,12 @@ class SimulationError(Exception):
 
 @dataclass(frozen=True)
 class VLoad:
-    """Unit-stride 64-bit load from external memory into register vd."""
+    """Unit-stride 64-bit load from external memory into register vd;
+    ``addr`` holds for the first iteration of every enclosing Repeat."""
 
     vd: int
     addr: int
+    region: int = 0
 
     mnemonic = "vload"
     kind = "vload"
@@ -103,6 +109,7 @@ class VStore:
 
     vs1: int
     addr: int
+    region: int = 0
 
     mnemonic = "vstore"
     kind = "vstore"
@@ -134,15 +141,20 @@ class Barrier:
 
 @dataclass(frozen=True)
 class Repeat:
-    """``count`` timing-identical iterations of ``body``."""
+    """``count`` iterations of ``body``, each advancing the addresses of
+    region r by ``strides[r]`` (regions past its end stay put)."""
 
     count: int
     body: tuple
+    strides: tuple = ()
 
     def __post_init__(self):
         if self.count < 0:
             raise ValueError(f"repeat count must be >= 0, got {self.count}")
+        if len(self.strides) > NUM_REGIONS:
+            raise ValueError(f"at most {NUM_REGIONS} region strides, got {len(self.strides)}")
         object.__setattr__(self, "body", tuple(self.body))
+        object.__setattr__(self, "strides", tuple(self.strides))
 
 
 @dataclass(frozen=True)
@@ -155,16 +167,6 @@ class Program:
 
     def __post_init__(self):
         object.__setattr__(self, "body", tuple(self.body))
-
-    @property
-    def is_flat(self) -> bool:
-        return not any(isinstance(n, Repeat) for n in self.body)
-
-    def flat_instructions(self):
-        for node in self.body:
-            if isinstance(node, Repeat):
-                raise SimulationError("program with Repeat nodes has no flat expansion")
-            yield node
 
 
 def class_of(instr) -> str:
@@ -195,6 +197,11 @@ class VectorRegisterFile:
         self.regs[r] = (self.regs[r] & keep) | ((value & 0xFFFFFFFF) << (32 * half))
 
 
+def _check_cycles(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass
 class TimingModel:
     """Per-kind latency and issue-interval table plus the clock.
@@ -210,6 +217,7 @@ class TimingModel:
     issue_interval: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_cycles("memory_latency", self.memory_latency)
         lat = {
             "vload": self.memory_latency,
             "vstore": self.memory_latency,
@@ -219,20 +227,25 @@ class TimingModel:
             "dc.p": 4,
             "dc.f": 4,
         }
-        lat.update(self.latency)
         iv = {k: 1 for k in INSTRUCTION_KINDS}
-        iv.update(self.issue_interval)
-        for table, name in ((lat, "latency"), (iv, "issue interval")):
+        for table, overrides, name in ((lat, self.latency, "latency"),
+                                       (iv, self.issue_interval, "issue_interval")):
+            if not isinstance(overrides, dict) or set(overrides) - set(INSTRUCTION_KINDS):
+                raise ValueError(f"{name} must map instruction kinds "
+                                 f"{list(INSTRUCTION_KINDS)} to cycles, got {overrides!r}")
+            table.update(overrides)
             for kind in INSTRUCTION_KINDS:
-                if table[kind] < 1:
-                    raise ValueError(f"{name} for {kind} must be >= 1, got {table[kind]}")
-        if not self.freq_hz > 0:
-            raise ValueError(f"clock frequency must be positive, got {self.freq_hz}")
+                _check_cycles(f"{name} for {kind}", table[kind])
+        freq = self.freq_hz
+        if isinstance(freq, bool) or not isinstance(freq, (int, float)) or not 0 < freq < math.inf:
+            raise ValueError(f"freq_hz must be a positive finite number, got {freq!r}")
         self.latency = lat
         self.issue_interval = iv
 
     @classmethod
     def from_dict(cls, d: dict) -> "TimingModel":
+        if not isinstance(d, dict):
+            raise ValueError("timing table must be a JSON object")
         known = {"memory_latency", "freq_hz", "latency", "issue_interval"}
         unknown = set(d) - known
         if unknown:
@@ -250,8 +263,8 @@ class SimOutcome:
     """Result of one simulation run.
 
     ``functional`` tells whether vrf/tile/memory reflect real execution
-    (flat programs) or are untouched placeholders (loop-compressed runs,
-    which produce timing and counts only).
+    (runs given a memory image) or are untouched placeholders (runs that
+    produce timing and counts only).
     """
 
     total_cycles: int
@@ -261,7 +274,6 @@ class SimOutcome:
     tile: DimcTile
     memory: bytearray | None
     functional: bool
-    trace: list | None = None
 
     @property
     def instruction_count(self) -> int:
@@ -293,13 +305,11 @@ class _Machine:
         self.tile = DimcTile()
         self.memory = memory
         self.trace = trace
-        self.functional = program.is_flat
-        if not self.functional:
-            if trace is not None:
-                raise SimulationError("event tracing requires a flat program")
-            if memory is not None:
-                raise SimulationError("loop-compressed programs run timing-only; "
-                                      "pass a flat program to execute functionally")
+        self.functional = memory is not None
+        self.run_repeat = (self._walk_repeat if self.functional or trace is not None
+                           else self._extrapolate_repeat)
+        # per-region address offset of the walk's current iteration
+        self.offsets = [0] * NUM_REGIONS
         # timing state
         self.t_last = -1
         self.t_max = 0
@@ -309,7 +319,8 @@ class _Machine:
         self.counts = {c: 0 for c in CLASSES}
         self.pending_class: str | None = None
         self.pc = 0
-        # dc.f write-back packer: (vd, dh, bidx) of a half-filled byte, or None
+        # dc.f write-back packer: (vd, dh, bidx, pc) of the dc.f that left a
+        # byte half filled, or None; only a dc.f at the next pc completes it
         self.dcf_open_byte = None
 
     # -- timing -----------------------------------------------------------
@@ -362,43 +373,36 @@ class _Machine:
                 if self.pending_class is not None:
                     self.cycles[self.pending_class] += drained - self.t_last
                 self.t_last = drained
-            if self.functional:
-                self.dcf_open_byte = None
+            self.dcf_open_byte = None
             return
         if cls is VLoad:
             done = self._issue("vload", (), (_reg_key(ins.vd, 0), _reg_key(ins.vd, 1)))
             if self.functional:
-                self._load_reg(ins.vd, ins.addr)
-                self.dcf_open_byte = None
+                self._load_reg(ins.vd, ins.addr + self.offsets[ins.region])
         elif cls is VStore:
             done = self._issue("vstore", (_reg_key(ins.vs1, 0), _reg_key(ins.vs1, 1)), ())
             if self.functional:
-                self._store_reg(ins.vs1, ins.addr)
-                self.dcf_open_byte = None
+                self._store_reg(ins.vs1, ins.addr + self.offsets[ins.region])
         elif cls is VClear:
             done = self._issue("varith", (), (_reg_key(ins.vd, 0), _reg_key(ins.vd, 1)))
             if self.functional:
                 self.vrf.write(ins.vd, 0)
-                self.dcf_open_byte = None
         elif cls is DlI:
             done = self._issue("dl.i", self._load_reads(ins), (_SEC_BASE + ins.sec,))
             if self.functional:
                 data, mask = self._gather(ins)
                 self.tile.load_input_sector(ins.sec, data, mask)
-                self.dcf_open_byte = None
         elif cls is DlM:
             done = self._issue("dl.m", self._load_reads(ins), (_ROW_BASE + ins.m_row,))
             if self.functional:
                 data, mask = self._gather(ins)
                 self.tile.load_memory_row(ins.m_row, ins.sec, data, mask)
-                self.dcf_open_byte = None
         elif cls is DcP:
             done = self._issue("dc.p", self._compute_reads(ins), (_reg_key(ins.vd, ins.dh),))
             if self.functional:
                 incoming = wrap_partial(self.vrf.read_half(ins.vs1, ins.sh))
                 p = self.tile.compute_row(ins.m_row, self.mode, incoming)
                 self.vrf.write_half(ins.vd, ins.dh, p)
-                self.dcf_open_byte = None
         elif cls is DcF:
             done = self._issue("dc.f", self._compute_reads(ins), (_reg_key(ins.vd, ins.dh),))
             if self.functional:
@@ -413,8 +417,11 @@ class _Machine:
 
     # -- functional helpers --------------------------------------------------
 
-    @staticmethod
-    def _load_reads(ins):
+    def _load_reads(self, ins):
+        if ins.vs1 + ins.nvec > NUM_VREGS:
+            raise SimulationError(
+                f"{ins.mnemonic} reads past register 31 (vs1={ins.vs1}, nvec={ins.nvec})",
+                pc=self.pc)
         lo = _reg_key(ins.vs1, 0)
         return range(lo, lo + 2 * ins.nvec)
 
@@ -424,10 +431,6 @@ class _Machine:
                 _SEC_BASE + 3, _ROW_BASE + ins.m_row)
 
     def _gather(self, ins):
-        if ins.vs1 + ins.nvec > NUM_VREGS:
-            raise SimulationError(
-                f"{ins.mnemonic} reads past register 31 (vs1={ins.vs1}, nvec={ins.nvec})",
-                pc=self.pc)
         regs = self.vrf.regs
         data = b"".join(regs[ins.vs1 + i].to_bytes(8, "little") for i in range(ins.nvec))
         if ins.nvec < 4:
@@ -436,43 +439,47 @@ class _Machine:
         return data, ins.mask & ((1 << ins.nvec) - 1)
 
     def _load_reg(self, vd: int, addr: int) -> None:
-        if self.memory is None:
-            raise SimulationError("vload needs a memory image", pc=self.pc)
         if addr < 0 or addr + 8 > len(self.memory):
             raise SimulationError(f"vload address {addr:#x} out of bounds", pc=self.pc)
         self.vrf.write(vd, int.from_bytes(self.memory[addr:addr + 8], "little"))
 
     def _store_reg(self, vs1: int, addr: int) -> None:
-        if self.memory is None:
-            raise SimulationError("vstore needs a memory image", pc=self.pc)
         if addr < 0 or addr + 8 > len(self.memory):
             raise SimulationError(f"vstore address {addr:#x} out of bounds", pc=self.pc)
         self.memory[addr:addr + 8] = self.vrf.read(vs1).to_bytes(8, "little")
 
     def _pack_nibble(self, ins: DcF, nibble: int) -> None:
-        target = (ins.vd, ins.dh, ins.bidx)
         half = self.vrf.read_half(ins.vd, ins.dh)
         shift = 8 * ins.bidx
-        if self.dcf_open_byte == target:
+        if self.dcf_open_byte == (ins.vd, ins.dh, ins.bidx, self.pc - 1):
             # second result of a pair: merge into the high nibble
             half |= nibble << (shift + 4)
             self.dcf_open_byte = None
         else:
             # fresh byte: clear it and fill the low nibble
             half = (half & ~(0xFF << shift)) | (nibble << shift)
-            self.dcf_open_byte = target
+            self.dcf_open_byte = (ins.vd, ins.dh, ins.bidx, self.pc)
         self.vrf.write_half(ins.vd, ins.dh, half)
 
     # -- program walk ------------------------------------------------------
 
     def run_nodes(self, nodes) -> None:
         for node in nodes:
-            if isinstance(node, Repeat):
-                self._run_repeat(node)
+            if node.__class__ is Repeat:
+                self.run_repeat(node)
             else:
                 self.step(node)
 
-    def _run_repeat(self, node: Repeat) -> None:
+    def _walk_repeat(self, node: Repeat) -> None:
+        offsets = self.offsets
+        for _ in range(node.count):
+            self.run_nodes(node.body)
+            for region, stride in enumerate(node.strides):
+                offsets[region] += stride
+        for region, stride in enumerate(node.strides):
+            offsets[region] -= node.count * stride
+
+    def _extrapolate_repeat(self, node: Repeat) -> None:
         prev_sig = None
         prev_delta = None
         done = 0
@@ -513,11 +520,12 @@ def execute(program: Program, timing: TimingModel | None = None,
             memory: bytearray | None = None, *, trace: list | None = None) -> SimOutcome:
     """Run a program and account its cycles.
 
-    Flat programs execute functionally (the returned vrf, tile and memory
-    are the final architectural state). Programs containing Repeat nodes
-    are costed timing-only with identical cycle results; they accept no
-    memory image and no trace. Identical inputs always produce an
-    identical outcome.
+    With a memory image the program executes functionally (the returned
+    vrf, tile and memory are the final architectural state). With a memory
+    image or a trace every Repeat iteration is walked; with neither the run
+    is timing-only and extrapolates each Repeat from its steady state, with
+    identical cycle results. Identical inputs always produce an identical
+    outcome.
     """
     timing = timing if timing is not None else TimingModel()
     machine = _Machine(program, timing, memory, trace)
@@ -531,7 +539,6 @@ def execute(program: Program, timing: TimingModel | None = None,
         tile=machine.tile,
         memory=machine.memory,
         functional=machine.functional,
-        trace=trace,
     )
 
 
@@ -547,7 +554,7 @@ def run_layer(lowering, timing: TimingModel | None = None, inputs=None, weights=
               *, trace: list | None = None):
     """Execute a lowered layer end to end and pull its output tensor back.
 
-    ``lowering`` comes from the mapper and supplies the flat program, the
+    ``lowering`` comes from the mapper and supplies the program, the
     external-memory layout and the output extractor; ``inputs`` and
     ``weights`` are the integer tensors to marshal into the memory image.
     Returns (SimOutcome, output tensor).

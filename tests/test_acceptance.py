@@ -128,7 +128,7 @@ def test_criterion_2_throughput_ceiling(resnet_run, sweep_rows):
                 kind="conv", ich=int(rng.integers(1, 200)), och=int(rng.integers(1, 80)),
                 h=6, w=6, kh=int(rng.integers(1, 3)), kw=int(rng.integers(1, 3)),
                 precision=PrecisionMode(bits))
-            out = sim.execute(mapper.lower_compressed(layer))
+            out = sim.execute(mapper.lower(layer).program)
             rate = metrics.gops(mapper.ops_count(layer), out.total_cycles, 500e6)
             if rate > metrics.peak_gops(bits, 500e6):
                 violations.append(f"{bits}bit:{layer.ich}x{layer.och}")

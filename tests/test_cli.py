@@ -161,3 +161,80 @@ def test_asm_error_exit_code(tmp_path, capsys):
     src.write_text("dl.i vs1=99 nvec=1 sec=0 mask=1\n")
     assert cli.main(["asm", str(src), "-o", str(tmp_path / "x.bin")]) == 2
     assert "vs1" in capsys.readouterr().err
+
+
+# -- malformed timing and report options ------------------------------------
+
+def test_timing_table_unknown_kind_is_input_error(tmp_path, capsys):
+    wl = write_workload(tmp_path / "wl.json", [UNIT_LAYER])
+    table = tmp_path / "timing.json"
+    table.write_text(json.dumps({"latency": {"dcp": 40}}))
+    assert cli.main(["simulate", wl, "--timing", str(table),
+                     "-o", str(tmp_path / "r.csv")]) == 2
+    assert "dcp" in capsys.readouterr().err
+
+
+def test_timing_table_non_integer_cycles_are_input_errors(tmp_path, capsys):
+    wl = write_workload(tmp_path / "wl.json", [UNIT_LAYER])
+    table = tmp_path / "timing.json"
+    for doc, key in (({"latency": {"dc.p": 2.5}}, "dc.p"),
+                     ({"issue_interval": {"vload": True}}, "vload"),
+                     ({"memory_latency": "8"}, "memory_latency")):
+        table.write_text(json.dumps(doc))
+        assert cli.main(["sweep", "tiling", "--points", "32", "--timing", str(table),
+                         "-o", str(tmp_path / "s.csv")]) == 2
+        assert key in capsys.readouterr().err
+
+
+def test_non_finite_freq_and_area_ratio_are_input_errors(tmp_path, capsys):
+    wl = write_workload(tmp_path / "wl.json", [UNIT_LAYER])
+    out = tmp_path / "r.csv"
+    for option, key in ((["--freq", "nan"], "freq_hz"), (["--freq", "inf"], "freq_hz"),
+                        (["--area-ratio", "nan"], "--area-ratio")):
+        assert cli.main(["simulate", wl, "-o", str(out)] + option) == 2
+        assert key in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["sweep", "grouping", "--freq", "nan", "-o", str(tmp_path / "s.csv")]) == 2
+
+
+def test_freq_goes_through_timing_validation(tmp_path, capsys):
+    # no layer is simulated, so only the timing model can reject the clock
+    wl = write_workload(tmp_path / "wl.json", [UNIT_LAYER], default_bits=8)
+    assert cli.main(["simulate", wl, "--freq", "0", "-o", str(tmp_path / "r.csv")]) == 2
+    assert "freq_hz" in capsys.readouterr().err
+
+
+# -- malformed workload files ------------------------------------------------
+
+def _rejected(tmp_path, capsys, layers, *expected):
+    wl = write_workload(tmp_path / "wl.json", layers)
+    assert cli.main(["simulate", wl, "-o", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert all(text in err for text in expected), err
+
+
+def test_workload_non_integer_field_is_input_error(tmp_path, capsys):
+    _rejected(tmp_path, capsys, [UNIT_LAYER, dict(UNIT_LAYER, name="frac", ich=4.5)],
+              "layer 1 (frac)", "ich")
+
+
+def test_workload_boolean_bits_is_input_error(tmp_path, capsys):
+    _rejected(tmp_path, capsys, [dict(UNIT_LAYER, precision={"bits": True})],
+              "layer 0 (unit)", "bits")
+
+
+def test_workload_unknown_layer_key_is_input_error(tmp_path, capsys):
+    _rejected(tmp_path, capsys, [dict(UNIT_LAYER, chans=8)], "layer 0 (unit)", "chans")
+
+
+def test_workload_duplicate_layer_name_is_input_error(tmp_path, capsys):
+    _rejected(tmp_path, capsys, [UNIT_LAYER, UNIT_LAYER], "layer 1 (unit)", "duplicate")
+
+
+def test_trace_outside_directory_is_input_error(tmp_path, capsys):
+    wl = write_workload(tmp_path / "wl.json", [UNIT_LAYER, dict(UNIT_LAYER, name="../escaped")])
+    tdir = tmp_path / "out" / "sub"
+    assert cli.main(["simulate", wl, "-o", str(tmp_path / "r.csv"),
+                     "--trace", str(tdir)]) == 2
+    assert "../escaped" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

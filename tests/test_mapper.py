@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimcsim import oracle
+from dimcsim.cli import load_workload
 from dimcsim.isa import DcF, DcP, DlI, DlM
 from dimcsim.mapper import (LayerDescriptor, MappingError,
-                            NotDimcEligibleError, lower, lower_compressed,
-                            ops_count, plan_mapping)
-from dimcsim.sim import Repeat, TimingModel, execute, run_layer
+                            NotDimcEligibleError, lower, ops_count, plan_mapping)
+from dimcsim.sim import INSTRUCTION_KINDS, Repeat, TimingModel, execute, run_layer
 from dimcsim.tile import PrecisionMode, QuantConfig
 
 
@@ -24,9 +26,19 @@ def tensors(layer, seed=0):
     return x, w
 
 
+def instructions(nodes):
+    """The instruction stream with every Repeat unrolled."""
+    for node in nodes:
+        if isinstance(node, Repeat):
+            for _ in range(node.count):
+                yield from instructions(node.body)
+        else:
+            yield node
+
+
 def custom_counts(program):
     counts = {DlI: 0, DlM: 0, DcP: 0, DcF: 0}
-    for ins in program.body:
+    for ins in instructions(program.body):
         if type(ins) in counts:
             counts[type(ins)] += 1
     return counts
@@ -138,7 +150,8 @@ def test_tiled_layer_chains_two_computes_per_output():
     # per position the computes come chunk-major: G partial computes for
     # chunk 0, then G terminal computes for chunk 1, each consuming the
     # partial its chunk-0 mate wrote
-    body = [i for i in lower(layer, plan).program.body if isinstance(i, (DcP, DcF))]
+    body = [i for i in instructions(lower(layer, plan).program.body)
+            if isinstance(i, (DcP, DcF))]
     g = layer.och
     for pos in range(0, len(body), 2 * g):
         block = body[pos:pos + 2 * g]
@@ -266,25 +279,68 @@ def test_odd_kernel_count_leaves_trailing_half_byte_zero():
     (conv(4, 40, hw=2, k=1, mode=PrecisionMode(1)), "final"),
 ])
 def test_compressed_lowering_matches_flat_cycles(layer, terminal):
-    plan = plan_mapping(layer)
-    quant = QuantConfig(1, 4)
-    flat = execute(lower(layer, plan, terminal=terminal, quant=quant).program,
-                   memory=bytearray(lower(layer, plan, terminal=terminal)._layout.total_bytes))
-    comp = execute(lower_compressed(layer, plan, terminal=terminal, quant=quant))
+    # the extrapolated timing-only run against the functional walk of
+    # every iteration of the same program
+    low = lower(layer, terminal=terminal, quant=QuantConfig(1, 4))
+    flat = execute(low.program, memory=bytearray(low._layout.total_bytes))
+    comp = execute(low.program)
     assert comp.total_cycles == flat.total_cycles
     assert comp.cycles_by_class == flat.cycles_by_class
     assert comp.counts_by_class == flat.counts_by_class
 
 
 def test_compressed_lowering_uses_repeats():
-    program = lower_compressed(conv(32, 64, k=2))
+    program = lower(conv(32, 64, k=2)).program
     assert any(isinstance(n, Repeat) for n in program.body)
+
+
+def test_resnet50_programs_stay_compressed():
+    # every Repeat body counted once: at most one group prologue and one
+    # position block per layer, where the unrolled streams run to millions
+    def records(nodes):
+        return sum(records(n.body) if isinstance(n, Repeat) else 1 for n in nodes)
+
+    for name, layer in load_workload("resnet50").entries:
+        if layer.precision.dimc_supported:
+            assert records(lower(layer).program.body) <= 1122, name
 
 
 def test_compressed_respects_timing_table():
     layer = conv(16, 8, hw=3, k=2)
     slow = TimingModel(memory_latency=20)
-    flat = execute(lower(layer).program, slow,
-                   memory=bytearray(lower(layer)._layout.total_bytes))
-    comp = execute(lower_compressed(layer), slow)
+    low = lower(layer)
+    flat = execute(low.program, slow, memory=bytearray(low._layout.total_bytes))
+    comp = execute(low.program, slow)
     assert comp.total_cycles == flat.total_cycles
+
+
+@st.composite
+def small_layers(draw):
+    mode = PrecisionMode(draw(st.sampled_from((1, 2, 4))), draw(st.booleans()),
+                         draw(st.booleans()))
+    if draw(st.booleans()):
+        return LayerDescriptor(kind="fc", ich=draw(st.integers(1, 2048)),
+                               och=draw(st.integers(1, 40)), precision=mode)
+    k = draw(st.integers(1, 3))
+    return conv(draw(st.integers(1, 64)), draw(st.integers(1, 70)),
+                hw=draw(st.integers(k, 5)), k=k, stride=draw(st.integers(1, 2)),
+                pad=draw(st.integers(0, 1)), mode=mode)
+
+
+timing_tables = st.builds(
+    TimingModel,
+    memory_latency=st.integers(1, 16),
+    latency=st.dictionaries(st.sampled_from(INSTRUCTION_KINDS), st.integers(1, 16)),
+    issue_interval=st.dictionaries(st.sampled_from(INSTRUCTION_KINDS), st.integers(1, 4)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(layer=small_layers(), terminal=st.sampled_from(("final", "partial")),
+       timing=timing_tables)
+def test_extrapolated_cycles_equal_walked_cycles(layer, terminal, timing):
+    program = lower(layer, terminal=terminal).program
+    extrapolated = execute(program, timing)
+    walked = execute(program, timing, trace=[])
+    assert extrapolated.total_cycles == walked.total_cycles
+    assert extrapolated.cycles_by_class == walked.cycles_by_class
+    assert extrapolated.counts_by_class == walked.counts_by_class

@@ -62,7 +62,7 @@ def test_peak_gops():
 
 def _outcome_and_layer():
     layer = mapper.LayerDescriptor(kind="conv", ich=8, och=4, h=4, w=4, kh=2, kw=2)
-    outcome = sim.execute(mapper.lower_compressed(layer))
+    outcome = sim.execute(mapper.lower(layer).program)
     return layer, outcome
 
 

@@ -113,6 +113,15 @@ def test_dcf_nibble_packing_pairs_and_flushes():
     assert (half >> 8) & 0xFF == 0x07
 
 
+def test_barrier_flushes_dcf_packer():
+    mem = bytearray(16)
+    mem[0:8] = (5).to_bytes(8, "little")
+    mem[8:16] = (9).to_bytes(8, "little")
+    body = [VLoad(3, 0), VLoad(4, 8), _dcf(3, 0), Barrier(), _dcf(4, 0)]
+    out = execute(prog(body), memory=mem)
+    assert out.vrf.read_half(2, 0) & 0xFF == 0x09
+
+
 def test_dcf_odd_run_leaves_high_nibble_zero():
     mem = bytearray(8)
     mem[0:8] = (6).to_bytes(8, "little")
@@ -202,7 +211,7 @@ def _loop_body():
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 50, 1000])
 def test_repeat_matches_flat_expansion(count):
     body = _loop_body()
-    flat = execute(prog(list(body) * count))
+    flat = execute(prog(list(body) * count), memory=bytearray())
     comp = execute(prog([Repeat(count, body)]))
     assert comp.total_cycles == flat.total_cycles
     assert comp.cycles_by_class == flat.cycles_by_class
@@ -219,12 +228,20 @@ def test_nested_repeat_matches_flat_expansion():
     assert comp.cycles_by_class == flat.cycles_by_class
 
 
-def test_compressed_program_rejects_memory_and_trace():
-    compressed = prog([Repeat(5, _loop_body())])
-    with pytest.raises(SimulationError):
-        execute(compressed, memory=bytearray(8))
-    with pytest.raises(SimulationError):
-        execute(compressed, trace=[])
+def test_walked_repeat_rebases_addresses():
+    # copy a 2x3 grid of words: the outer loop advances both regions by a
+    # row, the inner one by a word; offsets unwind after each loop
+    inner = Repeat(3, (VLoad(1, 0, region=1), VStore(1, 64, region=2)), strides=(0, 8, 8))
+    body = [Repeat(2, (inner,), strides=(0, 24, 24)), VLoad(2, 0, region=1)]
+    mem = bytearray(range(48)) + bytearray(64)
+    out = execute(prog(body), memory=mem)
+    assert out.memory[64:112] == bytes(range(48))
+    assert out.vrf.read(2) == int.from_bytes(bytes(range(8)), "little")
+    flat = [ins for a in range(0, 48, 8) for ins in (VLoad(1, a), VStore(1, a + 64))]
+    flat.append(VLoad(2, 0))
+    assert out.total_cycles == execute(prog(flat), memory=bytearray(112)).total_cycles
+    with pytest.raises(ValueError, match="strides"):
+        Repeat(1, (), strides=(0, 0, 0, 0))
 
 
 def test_timing_model_validation():
