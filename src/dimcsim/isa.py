@@ -13,9 +13,9 @@ slot for m_row since loads write no register. nvec is stored biased by one
 (range 1..4 in two bits). Every bit not listed is reserved and must be zero,
 and the decoder rejects words that violate that.
 
-Field ranges are checked by the record constructors, and so by the
-assembler. ``decode`` builds its records without that check, because its
-bit masks already bound every field.
+Field types (plain ``int``, not bool) and ranges are checked by the record
+constructors, and so by the assembler. ``decode`` builds its records
+without that check, because its bit masks already bound every field.
 
 Assembly text is one instruction per line, mnemonic followed by name=value
 fields in any order (``dl.m vs1=4 nvec=2 sec=0 mask=0b0011 m_row=7``).
@@ -66,7 +66,7 @@ class AsmError(ValueError):
 
 
 def _check_field(name: str, value: int, lo: int, hi: int) -> None:
-    if not isinstance(value, int) or not lo <= value <= hi:
+    if type(value) is not int or not lo <= value <= hi:
         raise EncodingError(f"field {name}={value!r} out of range [{lo}, {hi}]")
 
 
@@ -91,7 +91,8 @@ class DlI:
     _FIELD_RANGES = (("vs1", 0, 31), ("nvec", 1, 4), ("sec", 0, 3), ("mask", 0, 15))
 
     def __init__(self, vs1: int, nvec: int, sec: int, mask: int):
-        if not (0 <= vs1 <= 31 and 1 <= nvec <= 4 and 0 <= sec <= 3 and 0 <= mask <= 15):
+        if not (type(vs1) is type(nvec) is type(sec) is type(mask) is int
+                and 0 <= vs1 <= 31 and 1 <= nvec <= 4 and 0 <= sec <= 3 and 0 <= mask <= 15):
             _report_bad_field(DlI, (vs1, nvec, sec, mask))
         _store_dli(self, vs1, nvec, sec, mask)
 
@@ -113,7 +114,8 @@ class DlM:
                      ("mask", 0, 15), ("m_row", 0, 31))
 
     def __init__(self, vs1: int, nvec: int, sec: int, mask: int, m_row: int):
-        if not (0 <= vs1 <= 31 and 1 <= nvec <= 4 and 0 <= sec <= 3
+        if not (type(vs1) is type(nvec) is type(sec) is type(mask) is type(m_row) is int
+                and 0 <= vs1 <= 31 and 1 <= nvec <= 4 and 0 <= sec <= 3
                 and 0 <= mask <= 15 and 0 <= m_row <= 31):
             _report_bad_field(DlM, (vs1, nvec, sec, mask, m_row))
         _store_dlm(self, vs1, nvec, sec, mask, m_row)
@@ -137,7 +139,8 @@ class DcP:
                      ("dh", 0, 1), ("m_row", 0, 31))
 
     def __init__(self, vs1: int, vd: int, sh: int, dh: int, m_row: int):
-        if not (0 <= vs1 <= 31 and 0 <= vd <= 31 and 0 <= sh <= 1
+        if not (type(vs1) is type(vd) is type(sh) is type(dh) is type(m_row) is int
+                and 0 <= vs1 <= 31 and 0 <= vd <= 31 and 0 <= sh <= 1
                 and 0 <= dh <= 1 and 0 <= m_row <= 31):
             _report_bad_field(DcP, (vs1, vd, sh, dh, m_row))
         _store_dcp(self, vs1, vd, sh, dh, m_row)
@@ -162,7 +165,8 @@ class DcF:
                      ("dh", 0, 1), ("m_row", 0, 31), ("bidx", 0, 3))
 
     def __init__(self, vs1: int, vd: int, sh: int, dh: int, m_row: int, bidx: int):
-        if not (0 <= vs1 <= 31 and 0 <= vd <= 31 and 0 <= sh <= 1
+        if not (type(vs1) is type(vd) is type(sh) is type(dh) is type(m_row) is type(bidx) is int
+                and 0 <= vs1 <= 31 and 0 <= vd <= 31 and 0 <= sh <= 1
                 and 0 <= dh <= 1 and 0 <= m_row <= 31 and 0 <= bidx <= 3):
             _report_bad_field(DcF, (vs1, vd, sh, dh, m_row, bidx))
         _store_dcf(self, vs1, vd, sh, dh, m_row, bidx)

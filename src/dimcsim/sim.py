@@ -1,10 +1,18 @@
 """Cycle-approximate execution engine for the DIMC-extended vector core.
 
-The machine model is a single-issue in-order vector pipeline (VLEN = 64,
-ELEN = 32) with the DIMC tile attached as an extra execution lane. Only the
-instruction subset the layer mapper emits is modeled: unit-stride 64-bit
-vector loads and stores against a flat external memory, register clears,
-and the four custom tile instructions.
+The machine model is a single-issue in-order vector pipeline with 32
+64-bit vector registers and the DIMC tile attached as an extra execution
+lane. Only the instruction subset the layer mapper emits is modeled:
+unit-stride 64-bit vector loads and stores against a flat external memory,
+register clears, and the four custom tile instructions.
+
+Register file
+-------------
+Registers, external memory and the tile all exchange little-endian bytes,
+so the register file is one bytearray like the other two: register r is
+bytes [8r, 8r+8) and its half h is bytes [8r+4h, 8r+4h+4). A dl.i/dl.m
+register group is therefore one slice, and a vload or vstore one 8-byte
+copy. The scoreboard keys a register half by its byte offset.
 
 Timing contract
 ---------------
@@ -31,11 +39,12 @@ class counters therefore always sum to the total cycle count.
 dc.f nibble packing
 -------------------
 A dc.f result is one nibble stored into byte ``bidx`` of the dh-selected
-register half. Consecutive dc.f instructions pack pairwise: the first
-write to a byte clears it and fills the low nibble, and an immediately
-following dc.f aimed at the same byte merges into the high nibble. Any
-other instruction flushes the packer, so the next dc.f starts a fresh
-(low-nibble) byte. An odd run of results leaves the last high nibble zero.
+register half, register-file byte 8*vd + 4*dh + bidx. Consecutive dc.f
+instructions pack pairwise: the first write to a byte clears it and fills
+the low nibble, and an immediately following dc.f aimed at the same byte
+merges into the high nibble. Any other instruction flushes the packer, so
+the next dc.f starts a fresh (low-nibble) byte. An odd run of results
+leaves the last high nibble zero.
 
 Loop compression
 ----------------
@@ -56,10 +65,8 @@ import math
 from dataclasses import dataclass, field
 
 from .isa import DcF, DcP, DlI, DlM
-from .tile import DimcTile, PrecisionMode, QuantConfig, SECTOR_BYTES, wrap_partial
+from .tile import DimcTile, PrecisionMode, QuantConfig, SECTOR_BYTES
 
-VLEN = 64
-ELEN = 32
 NUM_VREGS = 32
 
 CLASSES = ("computing", "loading", "storing")
@@ -90,7 +97,7 @@ class SimulationError(Exception):
         self.pc = pc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VLoad:
     """Unit-stride 64-bit load from external memory into register vd;
     ``addr`` holds for the first iteration of every enclosing Repeat."""
@@ -103,7 +110,7 @@ class VLoad:
     kind = "vload"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VStore:
     """Unit-stride 64-bit store of register vs1 to external memory."""
 
@@ -115,7 +122,7 @@ class VStore:
     kind = "vstore"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VClear:
     """Register clear (modeled vector arithmetic): vd = 0."""
 
@@ -125,7 +132,7 @@ class VClear:
     kind = "varith"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Barrier:
     """Scheduling fence: the next instruction issues only after every
     outstanding result has committed.
@@ -175,26 +182,6 @@ def class_of(instr) -> str:
         return _CLASS_BY_KIND[instr.kind]
     except (AttributeError, KeyError):
         raise ValueError(f"not a simulatable instruction: {instr!r}") from None
-
-
-class VectorRegisterFile:
-    """32 vector registers of VLEN = 64 bits; unwritten registers read 0."""
-
-    def __init__(self):
-        self.regs = [0] * NUM_VREGS
-
-    def read(self, r: int) -> int:
-        return self.regs[r]
-
-    def write(self, r: int, value: int) -> None:
-        self.regs[r] = value & 0xFFFFFFFFFFFFFFFF
-
-    def read_half(self, r: int, half: int) -> int:
-        return (self.regs[r] >> (32 * half)) & 0xFFFFFFFF
-
-    def write_half(self, r: int, half: int, value: int) -> None:
-        keep = 0xFFFFFFFF << (32 * (1 - half))
-        self.regs[r] = (self.regs[r] & keep) | ((value & 0xFFFFFFFF) << (32 * half))
 
 
 def _check_cycles(name: str, value) -> None:
@@ -262,16 +249,15 @@ class TimingModel:
 class SimOutcome:
     """Result of one simulation run.
 
-    ``functional`` tells whether vrf/tile/memory reflect real execution
-    (runs given a memory image) or are untouched placeholders (runs that
-    produce timing and counts only).
+    ``functional`` tells whether the register file ``vrf`` (8 * NUM_VREGS
+    bytes) and ``memory`` reflect real execution (runs given a memory image)
+    or are untouched placeholders (runs that produce timing and counts only).
     """
 
     total_cycles: int
     cycles_by_class: dict
     counts_by_class: dict
-    vrf: VectorRegisterFile
-    tile: DimcTile
+    vrf: bytearray
     memory: bytearray | None
     functional: bool
 
@@ -286,14 +272,11 @@ class SimOutcome:
         return {c: self.cycles_by_class[c] / total for c in CLASSES}
 
 
-# Scoreboard resource keys, packed as small ints: register halves occupy
-# 0..63, input-buffer sectors 64..67, weight rows 68..99.
-def _reg_key(reg: int, half: int) -> int:
-    return reg * 2 + half
-
-
-_SEC_BASE = 64
-_ROW_BASE = 68
+# Scoreboard resource keys, packed as small ints: a register half is keyed
+# by its register-file byte offset (0..252), input-buffer sectors occupy
+# 256..259 and weight rows 260..291.
+_SEC_BASE = 8 * NUM_VREGS
+_ROW_BASE = _SEC_BASE + 4
 
 
 class _Machine:
@@ -301,7 +284,7 @@ class _Machine:
         self.mode = program.mode
         self.quant = program.quant
         self.timing = timing
-        self.vrf = VectorRegisterFile()
+        self.vrf = bytearray(8 * NUM_VREGS)
         self.tile = DimcTile()
         self.memory = memory
         self.trace = trace
@@ -319,8 +302,9 @@ class _Machine:
         self.counts = {c: 0 for c in CLASSES}
         self.pending_class: str | None = None
         self.pc = 0
-        # dc.f write-back packer: (vd, dh, bidx, pc) of the dc.f that left a
-        # byte half filled, or None; only a dc.f at the next pc completes it
+        # dc.f write-back packer: (register-file byte, pc) of the dc.f that
+        # left a byte half filled, or None; only a dc.f at the next pc
+        # completes it
         self.dcf_open_byte = None
 
     # -- timing -----------------------------------------------------------
@@ -376,17 +360,22 @@ class _Machine:
             self.dcf_open_byte = None
             return
         if cls is VLoad:
-            done = self._issue("vload", (), (_reg_key(ins.vd, 0), _reg_key(ins.vd, 1)))
+            vd = 8 * ins.vd
+            done = self._issue("vload", (), (vd, vd + 4))
             if self.functional:
-                self._load_reg(ins.vd, ins.addr + self.offsets[ins.region])
+                addr = self._address(ins)
+                self.vrf[vd:vd + 8] = self.memory[addr:addr + 8]
         elif cls is VStore:
-            done = self._issue("vstore", (_reg_key(ins.vs1, 0), _reg_key(ins.vs1, 1)), ())
+            vs1 = 8 * ins.vs1
+            done = self._issue("vstore", (vs1, vs1 + 4), ())
             if self.functional:
-                self._store_reg(ins.vs1, ins.addr + self.offsets[ins.region])
+                addr = self._address(ins)
+                self.memory[addr:addr + 8] = self.vrf[vs1:vs1 + 8]
         elif cls is VClear:
-            done = self._issue("varith", (), (_reg_key(ins.vd, 0), _reg_key(ins.vd, 1)))
+            vd = 8 * ins.vd
+            done = self._issue("varith", (), (vd, vd + 4))
             if self.functional:
-                self.vrf.write(ins.vd, 0)
+                self.vrf[vd:vd + 8] = bytes(8)
         elif cls is DlI:
             done = self._issue("dl.i", self._load_reads(ins), (_SEC_BASE + ins.sec,))
             if self.functional:
@@ -398,17 +387,18 @@ class _Machine:
                 data, mask = self._gather(ins)
                 self.tile.load_memory_row(ins.m_row, ins.sec, data, mask)
         elif cls is DcP:
-            done = self._issue("dc.p", self._compute_reads(ins), (_reg_key(ins.vd, ins.dh),))
+            dst = 8 * ins.vd + 4 * ins.dh
+            done = self._issue("dc.p", self._compute_reads(ins), (dst,))
             if self.functional:
-                incoming = wrap_partial(self.vrf.read_half(ins.vs1, ins.sh))
-                p = self.tile.compute_row(ins.m_row, self.mode, incoming)
-                self.vrf.write_half(ins.vd, ins.dh, p)
+                p = self.tile.compute_row(ins.m_row, self.mode, self._incoming(ins))
+                self.vrf[dst:dst + 4] = p.to_bytes(4, "little", signed=True)
         elif cls is DcF:
-            done = self._issue("dc.f", self._compute_reads(ins), (_reg_key(ins.vd, ins.dh),))
+            dst = 8 * ins.vd + 4 * ins.dh
+            done = self._issue("dc.f", self._compute_reads(ins), (dst,))
             if self.functional:
-                incoming = wrap_partial(self.vrf.read_half(ins.vs1, ins.sh))
-                nibble = self.tile.compute_row_final(ins.m_row, self.mode, incoming, self.quant)
-                self._pack_nibble(ins, nibble)
+                nibble = self.tile.compute_row_final(ins.m_row, self.mode,
+                                                     self._incoming(ins), self.quant)
+                self._pack_nibble(dst + ins.bidx, nibble)
         else:
             raise SimulationError(f"cannot execute {ins!r}", pc=self.pc)
         if self.trace is not None:
@@ -422,44 +412,40 @@ class _Machine:
             raise SimulationError(
                 f"{ins.mnemonic} reads past register 31 (vs1={ins.vs1}, nvec={ins.nvec})",
                 pc=self.pc)
-        lo = _reg_key(ins.vs1, 0)
-        return range(lo, lo + 2 * ins.nvec)
+        return range(8 * ins.vs1, 8 * (ins.vs1 + ins.nvec), 4)
 
     @staticmethod
     def _compute_reads(ins):
-        return (_reg_key(ins.vs1, ins.sh), _SEC_BASE, _SEC_BASE + 1, _SEC_BASE + 2,
+        return (8 * ins.vs1 + 4 * ins.sh, _SEC_BASE, _SEC_BASE + 1, _SEC_BASE + 2,
                 _SEC_BASE + 3, _ROW_BASE + ins.m_row)
 
     def _gather(self, ins):
-        regs = self.vrf.regs
-        data = b"".join(regs[ins.vs1 + i].to_bytes(8, "little") for i in range(ins.nvec))
-        if ins.nvec < 4:
-            data += bytes(SECTOR_BYTES - 8 * ins.nvec)
+        data = self.vrf[8 * ins.vs1:8 * (ins.vs1 + ins.nvec)].ljust(SECTOR_BYTES, b"\0")
         # slices beyond nvec carry no payload, so clip them out of the mask
         return data, ins.mask & ((1 << ins.nvec) - 1)
 
-    def _load_reg(self, vd: int, addr: int) -> None:
-        if addr < 0 or addr + 8 > len(self.memory):
-            raise SimulationError(f"vload address {addr:#x} out of bounds", pc=self.pc)
-        self.vrf.write(vd, int.from_bytes(self.memory[addr:addr + 8], "little"))
+    def _incoming(self, ins) -> int:
+        # the 24-bit partial is the low three bytes of the sh-selected half
+        src = 8 * ins.vs1 + 4 * ins.sh
+        return int.from_bytes(self.vrf[src:src + 3], "little", signed=True)
 
-    def _store_reg(self, vs1: int, addr: int) -> None:
+    def _address(self, ins) -> int:
+        # checked before slicing: a short or negative slice assigned into a
+        # bytearray would silently resize it
+        addr = ins.addr + self.offsets[ins.region]
         if addr < 0 or addr + 8 > len(self.memory):
-            raise SimulationError(f"vstore address {addr:#x} out of bounds", pc=self.pc)
-        self.memory[addr:addr + 8] = self.vrf.read(vs1).to_bytes(8, "little")
+            raise SimulationError(f"{ins.mnemonic} address {addr:#x} out of bounds", pc=self.pc)
+        return addr
 
-    def _pack_nibble(self, ins: DcF, nibble: int) -> None:
-        half = self.vrf.read_half(ins.vd, ins.dh)
-        shift = 8 * ins.bidx
-        if self.dcf_open_byte == (ins.vd, ins.dh, ins.bidx, self.pc - 1):
+    def _pack_nibble(self, byte: int, nibble: int) -> None:
+        if self.dcf_open_byte == (byte, self.pc - 1):
             # second result of a pair: merge into the high nibble
-            half |= nibble << (shift + 4)
+            self.vrf[byte] |= nibble << 4
             self.dcf_open_byte = None
         else:
             # fresh byte: clear it and fill the low nibble
-            half = (half & ~(0xFF << shift)) | (nibble << shift)
-            self.dcf_open_byte = (ins.vd, ins.dh, ins.bidx, self.pc)
-        self.vrf.write_half(ins.vd, ins.dh, half)
+            self.vrf[byte] = nibble
+            self.dcf_open_byte = (byte, self.pc)
 
     # -- program walk ------------------------------------------------------
 
@@ -521,7 +507,7 @@ def execute(program: Program, timing: TimingModel | None = None,
     """Run a program and account its cycles.
 
     With a memory image the program executes functionally (the returned
-    vrf, tile and memory are the final architectural state). With a memory
+    vrf and memory are the final architectural state). With a memory
     image or a trace every Repeat iteration is walked; with neither the run
     is timing-only and extrapolates each Repeat from its steady state, with
     identical cycle results. Identical inputs always produce an identical
@@ -536,7 +522,6 @@ def execute(program: Program, timing: TimingModel | None = None,
         cycles_by_class=machine.cycles,
         counts_by_class=machine.counts,
         vrf=machine.vrf,
-        tile=machine.tile,
         memory=machine.memory,
         functional=machine.functional,
     )

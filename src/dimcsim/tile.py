@@ -151,12 +151,10 @@ class DimcTile:
     def __init__(self):
         self._memory = np.zeros((ROWS, ROW_BYTES), dtype=np.uint8)
         self._input = np.zeros(ROW_BYTES, dtype=np.uint8)
-        # Version counters invalidate the decoded-element caches, which keep
-        # repeated computes against an unchanged row or buffer cheap.
-        self._row_version = [0] * ROWS
-        self._input_version = 0
-        self._row_cache: dict = {}
-        self._input_cache: dict = {}
+        # Decoded elements per weight row (key ROWS: the input buffer) as
+        # (bits, signed, array), which keep repeated computes against an
+        # unchanged row or buffer cheap; a load drops its own row's entry.
+        self._decoded: dict = {}
 
     # -- loads ------------------------------------------------------------
 
@@ -171,7 +169,7 @@ class DimcTile:
         buf = self._as_sector_bytes(data)
         mask = self._check_mask(valid_mask)
         self._masked_write(self._input, sector * SECTOR_BYTES, buf, mask)
-        self._input_version += 1
+        self._decoded.pop(ROWS, None)
 
     def load_memory_row(self, row: int, sector: int, data, valid_mask: int) -> None:
         """Same slice/mask semantics as load_input_sector, applied to the
@@ -181,7 +179,7 @@ class DimcTile:
         buf = self._as_sector_bytes(data)
         mask = self._check_mask(valid_mask)
         self._masked_write(self._memory[row], sector * SECTOR_BYTES, buf, mask)
-        self._row_version[row] += 1
+        self._decoded.pop(row, None)
 
     # -- computes ---------------------------------------------------------
 
@@ -195,8 +193,8 @@ class DimcTile:
         self._check_row(row)
         if not mode.dimc_supported:
             raise ValueError(f"tile computes support at most 4-bit elements, got {mode.bits}")
-        x = self._decoded_input(mode)
-        w = self._decoded_row(row, mode)
+        x = self._elements(ROWS, self._input, mode.bits, mode.input_signed)
+        w = self._elements(row, self._memory[row], mode.bits, mode.weight_signed)
         return wrap_partial(int(np.dot(x, w)) + incoming)
 
     def compute_row_final(self, row: int, mode: PrecisionMode, incoming: int,
@@ -229,23 +227,12 @@ class DimcTile:
                 lo = offset + i * SLICE_BYTES
                 target[lo:lo + SLICE_BYTES] = buf[i * SLICE_BYTES:(i + 1) * SLICE_BYTES]
 
-    def _decoded_input(self, mode: PrecisionMode) -> np.ndarray:
-        key = (mode.bits, mode.input_signed)
-        hit = self._input_cache.get(key)
-        if hit is not None and hit[0] == self._input_version:
-            return hit[1]
-        dec = decode_elements(self._input, mode.bits, mode.input_signed)
-        self._input_cache[key] = (self._input_version, dec)
-        return dec
-
-    def _decoded_row(self, row: int, mode: PrecisionMode) -> np.ndarray:
-        key = (row, mode.bits, mode.weight_signed)
-        hit = self._row_cache.get(key)
-        if hit is not None and hit[0] == self._row_version[row]:
-            return hit[1]
-        dec = decode_elements(self._memory[row], mode.bits, mode.weight_signed)
-        self._row_cache[key] = (self._row_version[row], dec)
-        return dec
+    def _elements(self, key: int, raw: np.ndarray, bits: int, signed: bool) -> np.ndarray:
+        hit = self._decoded.get(key)
+        if hit is None or hit[0] != bits or hit[1] != signed:
+            hit = (bits, signed, decode_elements(raw, bits, signed))
+            self._decoded[key] = hit
+        return hit[2]
 
     @staticmethod
     def _check_row(row: int) -> None:

@@ -1,6 +1,16 @@
+import hashlib
 import json
 
+import pytest
+
 from dimcsim import cli
+
+# sha256 of the default-table reports, as pinned in ROADMAP.md
+REPORT_SHA256 = {
+    "resnet50": "f8f6d35e3b692cc1f56fc0ac2fbee82eecbecd52dbf73dc1967eb896bfc6a166",
+    "tiling": "73bd0d4b88fef57537e71ee874265397efbdccd392e37ae11015f60ef7ac7a15",
+    "grouping": "8cff1b05eed9a859cffd253761816c71c48c27a37629ccbc366ff6cd38214493",
+}
 
 
 def write_workload(path, layers, network="testnet", default_bits=4):
@@ -238,3 +248,12 @@ def test_trace_outside_directory_is_input_error(tmp_path, capsys):
                      "--trace", str(tdir)]) == 2
     assert "../escaped" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["simulate", "resnet50"], ["sweep", "tiling"],
+                                  ["sweep", "grouping"]], ids=lambda argv: argv[1])
+def test_default_reports_match_pinned_sha256(tmp_path, argv):
+    # a changed report is a model change and must be deliberate
+    out = tmp_path / "report.csv"
+    assert cli.main([*argv, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[argv[1]]

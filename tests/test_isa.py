@@ -54,9 +54,14 @@ def test_decode_rejects_out_of_width():
     lambda: DcP(vs1=0, vd=0, sh=2, dh=0, m_row=0),
     lambda: DcF(vs1=0, vd=0, sh=0, dh=0, m_row=32, bidx=0),
     lambda: DcF(vs1=0, vd=0, sh=0, dh=0, m_row=0, bidx=4),
+    lambda: DlI(vs1=1.5, nvec=1, sec=0, mask=0),
+    lambda: DlI(vs1=True, nvec=1, sec=0, mask=0),
+    lambda: DlM(vs1=0, nvec=1, sec=0, mask=0, m_row=2.0),
+    lambda: DcP(vs1=0, vd=0, sh=False, dh=0, m_row=0),
+    lambda: DcF(vs1=0, vd=0, sh=0, dh=0, m_row=0, bidx=True),
 ])
 def test_field_validation(bad):
-    with pytest.raises(EncodingError):
+    with pytest.raises(EncodingError, match=r"field \w+="):
         bad()
 
 

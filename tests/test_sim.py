@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 
 from dimcsim.isa import DcF, DcP, DlI, DlM
-from dimcsim.sim import (Barrier, Program, Repeat, SimulationError,
-                         TimingModel, VClear, VLoad, VStore, class_of,
+from dimcsim.sim import (NUM_VREGS, Barrier, Program, Repeat, SimulationError,
+                         TimingModel, VClear, VLoad, VStore, _Machine, class_of,
                          execute)
 from dimcsim.tile import PrecisionMode, QuantConfig
 
 
 def prog(body, **kw):
     return Program(tuple(body), **kw)
+
+
+def reg(out, r, half=None):
+    """Register r of a run's register file, or its half, as an unsigned int."""
+    lo, size = (8 * r, 8) if half is None else (8 * r + 4 * half, 4)
+    return int.from_bytes(out.vrf[lo:lo + size], "little")
 
 
 def test_empty_program():
@@ -74,7 +80,7 @@ def test_vload_vstore_roundtrip():
     mem[0:8] = (0x1122334455667788).to_bytes(8, "little")
     out = execute(prog([VLoad(3, 0), VStore(3, 16)]), memory=mem)
     assert out.memory[16:24] == mem[0:8]
-    assert out.vrf.read(3) == 0x1122334455667788
+    assert reg(out, 3) == 0x1122334455667788
 
 
 def test_unwritten_registers_read_zero():
@@ -89,8 +95,8 @@ def test_dcp_writes_sign_extended_partial():
             DcP(vs1=1, vd=2, sh=0, dh=1, m_row=0),
             DcP(vs1=2, vd=3, sh=1, dh=0, m_row=0)]
     out = execute(prog(body), memory=mem)
-    assert out.vrf.read_half(2, 1) == 0xFFFFFFFF
-    assert out.vrf.read_half(3, 0) == 0xFFFFFFFF
+    assert reg(out, 2, half=1) == 0xFFFFFFFF
+    assert reg(out, 3, half=0) == 0xFFFFFFFF
 
 
 def _dcf(vs1, bidx):
@@ -108,7 +114,7 @@ def test_dcf_nibble_packing_pairs_and_flushes():
             VClear(7),    # any other instruction flushes the packer
             _dcf(6, 1)]   # starts byte 1 afresh, clearing the old value
     out = execute(prog(body), memory=mem)
-    half = out.vrf.read_half(2, 0)
+    half = reg(out, 2, half=0)
     assert half & 0xFF == 0x95
     assert (half >> 8) & 0xFF == 0x07
 
@@ -119,14 +125,14 @@ def test_barrier_flushes_dcf_packer():
     mem[8:16] = (9).to_bytes(8, "little")
     body = [VLoad(3, 0), VLoad(4, 8), _dcf(3, 0), Barrier(), _dcf(4, 0)]
     out = execute(prog(body), memory=mem)
-    assert out.vrf.read_half(2, 0) & 0xFF == 0x09
+    assert reg(out, 2, half=0) & 0xFF == 0x09
 
 
 def test_dcf_odd_run_leaves_high_nibble_zero():
     mem = bytearray(8)
     mem[0:8] = (6).to_bytes(8, "little")
     out = execute(prog([VLoad(3, 0), _dcf(3, 2)]), memory=mem)
-    assert (out.vrf.read_half(2, 0) >> 16) & 0xFF == 0x06
+    assert (reg(out, 2, half=0) >> 16) & 0xFF == 0x06
 
 
 def test_determinism():
@@ -141,7 +147,7 @@ def test_determinism():
     assert a.total_cycles == b.total_cycles
     assert a.cycles_by_class == b.cycles_by_class
     assert a.memory == b.memory
-    assert a.vrf.regs == b.vrf.regs
+    assert a.vrf == b.vrf
     assert t1 == t2
 
 
@@ -154,7 +160,7 @@ def test_latency_changes_never_change_functional_state():
     fast = execute(prog(body), TimingModel(memory_latency=1), memory=bytearray(mem0))
     slow = execute(prog(body), TimingModel(memory_latency=30, latency={"dc.f": 9}),
                    memory=bytearray(mem0))
-    assert fast.memory == slow.memory and fast.vrf.regs == slow.vrf.regs
+    assert fast.memory == slow.memory and fast.vrf == slow.vrf
     assert fast.total_cycles != slow.total_cycles
 
 
@@ -192,6 +198,21 @@ def test_gather_past_register_file_reports_pc():
     with pytest.raises(SimulationError) as err:
         execute(prog(body))
     assert err.value.pc == 1
+
+
+@pytest.mark.parametrize("kind", [VLoad, VStore])
+@pytest.mark.parametrize("addr", [16, 12, -8, -4],
+                         ids=["past-end", "straddling-end", "negative", "straddling-zero"])
+def test_out_of_bounds_access_reports_pc_and_keeps_state(kind, addr):
+    # a short or negative slice assigned into a bytearray would resize it
+    # instead of raising, so the bounds check has to come first
+    mem = bytearray(16)
+    program = prog([VClear(1), kind(1, addr)])
+    machine = _Machine(program, TimingModel(), mem, None)
+    with pytest.raises(SimulationError, match="out of bounds") as err:
+        machine.run_nodes(program.body)
+    assert err.value.pc == 1
+    assert len(mem) == 16 and len(machine.vrf) == 8 * NUM_VREGS
 
 
 def test_trace_records():
@@ -236,7 +257,7 @@ def test_walked_repeat_rebases_addresses():
     mem = bytearray(range(48)) + bytearray(64)
     out = execute(prog(body), memory=mem)
     assert out.memory[64:112] == bytes(range(48))
-    assert out.vrf.read(2) == int.from_bytes(bytes(range(8)), "little")
+    assert reg(out, 2) == int.from_bytes(bytes(range(8)), "little")
     flat = [ins for a in range(0, 48, 8) for ins in (VLoad(1, a), VStore(1, a + 64))]
     flat.append(VLoad(2, 0))
     assert out.total_cycles == execute(prog(flat), memory=bytearray(112)).total_cycles
@@ -265,8 +286,8 @@ def test_program_mode_controls_compute():
             DcP(vs1=0, vd=2, sh=0, dh=0, m_row=0)]
     one = execute(prog(body, mode=PrecisionMode(1, False, False)), memory=bytearray(mem))
     two = execute(prog(body, mode=PrecisionMode(2, False, False)), memory=bytearray(mem))
-    assert one.vrf.read_half(2, 0) == 2
-    assert two.vrf.read_half(2, 0) == 9
+    assert reg(one, 2, half=0) == 2
+    assert reg(two, 2, half=0) == 9
 
 
 def test_program_quant_controls_dcf():
@@ -275,4 +296,4 @@ def test_program_quant_controls_dcf():
     body = [VLoad(1, 0), DcF(vs1=1, vd=2, sh=0, dh=0, m_row=0, bidx=0)]
     out = execute(prog(body, quant=QuantConfig(right_shift=3, out_bits=4)),
                   memory=bytearray(mem))
-    assert out.vrf.read_half(2, 0) == 7
+    assert reg(out, 2, half=0) == 7
