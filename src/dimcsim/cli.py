@@ -278,7 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="baseline/extended area ratio (default %(default)s)")
     sim_p.add_argument("--verify", action="store_true",
                        help="also run each layer functionally against the "
-                            "convolution reference (slow for large layers)")
+                            "convolution reference and check its cycles walked over "
+                            "every iteration against the extrapolated ones (data runs "
+                            "batched; the timing walk grows with the instruction count)")
     sim_p.add_argument("--trace", metavar="DIR",
                        help="write per-layer event traces (implies full execution)")
     sim_p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -338,14 +338,15 @@ class Lowering:
         weights = self._checked(weights, (layer.och, layer.kh, layer.kw, layer.ich),
                                 mode.weight_range(), "weights")
         pad, stride = layer.padding, layer.stride
-        padded = np.zeros((layer.h + 2 * pad, layer.w + 2 * pad, layer.ich), dtype=np.int64)
+        # elements span at most [-8, 15]: int8 keeps the records small
+        padded = np.zeros((layer.h + 2 * pad, layer.w + 2 * pad, layer.ich), dtype=np.int8)
         padded[pad:pad + layer.h, pad:pad + layer.w] = inputs
         windows = np.lib.stride_tricks.sliding_window_view(padded, (layer.kh, layer.kw, layer.ich))
         patches = windows[:layer.oh * stride:stride, :layer.ow * stride:stride]
         memory = bytearray()
         for rows in (weights.reshape(layer.och, -1), patches.reshape(layer.oh * layer.ow, -1)):
             # one zero-padded record per kernel or output position
-            records = np.zeros((len(rows), layout.record_bytes * 8 // mode.bits), dtype=np.int64)
+            records = np.zeros((len(rows), layout.record_bytes * 8 // mode.bits), dtype=np.int8)
             records[:, :rows.shape[1]] = rows
             memory += pack_elements(records.reshape(-1), mode.bits).tobytes()
         return memory + bytes(layout.total_bytes - len(memory))
@@ -381,7 +382,7 @@ class Lowering:
         lo, hi = bounds
         if arr.size and (arr.min() < lo or arr.max() > hi):
             raise MappingError(f"{name} values outside [{lo}, {hi}] for this precision")
-        return arr.astype(np.int64)
+        return arr
 
 
 def lower(layer: LayerDescriptor, plan: MappingPlan | None = None, *,

@@ -8,11 +8,12 @@ register clears, and the four custom tile instructions.
 
 Register file
 -------------
-Registers, external memory and the tile all exchange little-endian bytes,
-so the register file is one bytearray like the other two: register r is
-bytes [8r, 8r+8) and its half h is bytes [8r+4h, 8r+4h+4). A dl.i/dl.m
-register group is therefore one slice, and a vload or vstore one 8-byte
-copy. The scoreboard keys a register half by its byte offset.
+Registers, external memory and the tile all exchange little-endian bytes.
+Register r is bytes [8r, 8r+8) of the register file (``SimOutcome.vrf``)
+and its half h is bytes [8r+4h, 8r+4h+4). The data half keeps each
+register as its own 8-byte array, so that inside a batch one register can
+vary along an iteration axis while another does not. The scoreboard keys
+a register half by its byte offset.
 
 Timing contract
 ---------------
@@ -28,7 +29,10 @@ write ports are not modeled, so write-after-write never stalls either; in
 particular back-to-back dc.f results stream into the same destination
 register one per cycle, with the nibble packing handled by the write-back
 stage. Functional state always evolves in program order, making results
-independent of the latency table.
+independent of the latency table. The simulator therefore runs a program
+in two halves: a data half that computes the architectural state, and a
+timing half that issues the same instruction stream against the
+scoreboard and is the only writer of the event trace.
 
 Each cycle of the run is attributed to exactly one of three classes
 (computing, loading, storing): the gap from one instruction's issue to the
@@ -50,12 +54,35 @@ Loop compression
 ----------------
 A ``Repeat`` node stands for iterations of a fixed instruction block that
 differ only in memory addresses: each ``VLoad``/``VStore`` names an address
-region, which each ``Repeat`` advances by its own stride per iteration. A
-run without memory image or trace is timing-only: iterations are simulated
-until two consecutive ones leave the scoreboard in the same relative state
-and advance time by the same amount, and the remaining ones are applied as
-a closed-form shift. Otherwise every iteration is walked with its addresses
-rebased. Addresses never influence timing, so both paths give equal cycles.
+region, which each ``Repeat`` advances by its own stride per iteration.
+
+The timing half compiles each body once per timing table into tuples of
+(class, kind, latency, issue interval, keys read, keys written), walked
+against list-backed scoreboard and unit state. A run without memory image
+or trace is timing-only: iterations are walked until two consecutive ones
+leave the scoreboard in the same relative state and advance time by the
+same amount, and the remaining ones are applied as a closed-form shift.
+A run with a memory image or a trace walks every iteration. Addresses
+never influence timing, so both give equal cycles, and ``--verify``
+checks that they do.
+
+The data half runs a Repeat as one batch when a static pass over its body
+(``_Body``) shows that no iteration reads state another one writes: every
+register byte, input-buffer slice or weight-row slice the body reads is
+written earlier in the same iteration or nowhere in the body, and the body
+does not open with a dc.f. Its memory accesses are checked too, over every
+iteration: all in bounds, no load touching a stored byte, no two stores
+overlapping. The state then gains an iteration axis: vloads and vstores
+become gathers and scatters at ``addr + offset + n * stride``, the tile
+loads and computes run on arrays, and the state after the Repeat is the
+last iteration's. State a body leaves alone keeps an axis of size 1, so a
+position loop nested in a batched group loop reads each group's weight
+rows without copying them. Repeat(1) bodies are inlined into their parent,
+so a layer with one output position batches over its kernel groups. A body
+that fails either check is walked iteration by iteration through the same
+code, where an out-of-bounds access raises with the pc the unrolled
+program would report. One tile load or compute call therefore covers a
+whole batch.
 """
 
 from __future__ import annotations
@@ -64,8 +91,11 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .isa import DcF, DcP, DlI, DlM
-from .tile import DimcTile, PrecisionMode, QuantConfig, SECTOR_BYTES
+from .tile import (DimcTile, PrecisionMode, QuantConfig, ROW_BYTES, ROWS, SECTOR_BYTES,
+                   SLICE_BYTES, SLICES_PER_SECTOR, writable)
 
 NUM_VREGS = 32
 
@@ -82,6 +112,8 @@ _CLASS_BY_KIND = {
     "dc.p": "computing",
     "dc.f": "computing",
 }
+_CLASS_INDEX = {kind: CLASSES.index(cls) for kind, cls in _CLASS_BY_KIND.items()}
+_KIND_INDEX = {kind: i for i, kind in enumerate(INSTRUCTION_KINDS)}
 
 # the mapper keeps weights, patches and outputs in address regions 0-2
 NUM_REGIONS = 3
@@ -272,234 +304,501 @@ class SimOutcome:
         return {c: self.cycles_by_class[c] / total for c in CLASSES}
 
 
-# Scoreboard resource keys, packed as small ints: a register half is keyed
-# by its register-file byte offset (0..252), input-buffer sectors occupy
-# 256..259 and weight rows 260..291.
-_SEC_BASE = 8 * NUM_VREGS
-_ROW_BASE = _SEC_BASE + 4
+def _fault(ins) -> str | None:
+    """Why ``ins`` cannot execute, or None when it can."""
+    cls = ins.__class__
+    if cls is VLoad or cls is VStore or cls is VClear:
+        reg = ins.vs1 if cls is VStore else ins.vd
+        if not 0 <= reg < NUM_VREGS:
+            return f"{ins.mnemonic} register {reg} out of range [0, {NUM_VREGS - 1}]"
+        if cls is not VClear and not 0 <= ins.region < NUM_REGIONS:
+            return f"{ins.mnemonic} address region {ins.region} out of range"
+    elif cls is DlI or cls is DlM:
+        if ins.vs1 + ins.nvec > NUM_VREGS:
+            return f"{ins.mnemonic} reads past register 31 (vs1={ins.vs1}, nvec={ins.nvec})"
+    elif cls is not DcP and cls is not DcF:
+        return f"cannot execute {ins!r}"
+    return None
 
 
-class _Machine:
-    def __init__(self, program: Program, timing: TimingModel, memory, trace):
-        self.mode = program.mode
-        self.quant = program.quant
-        self.timing = timing
-        self.vrf = bytearray(8 * NUM_VREGS)
-        self.tile = DimcTile()
-        self.memory = memory
+def _stride(node: Repeat, region: int) -> int:
+    return node.strides[region] if region < len(node.strides) else 0
+
+
+# -- timing half ---------------------------------------------------------------
+
+# Scoreboard keys, small ints indexing one list: a register half is keyed by
+# its register-file byte offset (0..252). The input buffer is one key, since
+# every compute reads all four sectors and dl.i results complete in issue
+# order, so the latest dl.i bounds them all; weight rows follow it.
+_INPUT_KEY = 8 * NUM_VREGS
+_ROW_KEY = _INPUT_KEY + 1
+_SCOREBOARD_KEYS = _ROW_KEY + ROWS
+
+# parts of a compiled body: a straight-line run of ops, a barrier, a loop
+_OPS, _BARRIER, _LOOP = range(3)
+
+
+def _scoreboard(ins) -> tuple:
+    """(kind, keys read, keys written) of a valid instruction."""
+    cls = ins.__class__
+    if cls is VLoad or cls is VClear:
+        vd = 8 * ins.vd
+        return ins.kind, (), (vd, vd + 4)
+    if cls is VStore:
+        vs1 = 8 * ins.vs1
+        return "vstore", (vs1, vs1 + 4), ()
+    if cls is DlI or cls is DlM:
+        written = _INPUT_KEY if cls is DlI else _ROW_KEY + ins.m_row
+        return ins.kind, tuple(range(8 * ins.vs1, 8 * (ins.vs1 + ins.nvec), 4)), (written,)
+    return (ins.kind, (8 * ins.vs1 + 4 * ins.sh, _INPUT_KEY, _ROW_KEY + ins.m_row),
+            (8 * ins.vd + 4 * ins.dh,))
+
+
+class _Clock:
+    """The timing half: a scoreboard walked over bodies compiled once per
+    timing table.
+
+    A compiled body is a tuple of parts: (_OPS, ops, class counts) for a
+    straight-line run, where each op is (class index, kind index, latency,
+    issue interval, keys read, keys written, mnemonic); (_BARRIER, None,
+    None); and (_LOOP, count, body) for a Repeat. Scoreboard and unit
+    state are lists indexed by key and kind.
+    """
+
+    def __init__(self, timing: TimingModel, trace, walk: bool):
+        self.latency = timing.latency
+        self.interval = timing.issue_interval
         self.trace = trace
-        self.functional = memory is not None
-        self.run_repeat = (self._walk_repeat if self.functional or trace is not None
-                           else self._extrapolate_repeat)
-        # per-region address offset of the walk's current iteration
-        self.offsets = [0] * NUM_REGIONS
-        # timing state
+        self.run_loop = self._walk_loop if walk else self._extrapolate_loop
+        self.ready = [0] * _SCOREBOARD_KEYS
+        self.unit_free = [0] * len(INSTRUCTION_KINDS)
+        # the extra slot takes the (meaningless) gap before the first issue
+        self.cycles = [0] * (len(CLASSES) + 1)
+        self.counts = [0] * len(CLASSES)
+        self.pending = len(CLASSES)
         self.t_last = -1
         self.t_max = 0
-        self.ready: dict[int, int] = {}
-        self.unit_free: dict[str, int] = {}
-        self.cycles = {c: 0 for c in CLASSES}
-        self.counts = {c: 0 for c in CLASSES}
-        self.pending_class: str | None = None
-        self.pc = 0
-        # dc.f write-back packer: (register-file byte, pc) of the dc.f that
-        # left a byte half filled, or None; only a dc.f at the next pc
-        # completes it
-        self.dcf_open_byte = None
 
-    # -- timing -----------------------------------------------------------
+    def compile(self, nodes, pc: int = 0) -> tuple:
+        """(compiled body, instructions one pass runs); the first faulty
+        instruction raises with the pc it would execute at."""
+        parts = []
+        ops = []
+        start = pc
 
-    def _issue(self, kind: str, reads, writes) -> int:
-        t = self.t_last + 1
-        uf = self.unit_free.get(kind)
-        if uf is not None and uf > t:
-            t = uf
-        ready = self.ready
-        for key in reads:
-            r = ready.get(key)
-            if r is not None and r > t:
-                t = r
-        cls = _CLASS_BY_KIND[kind]
-        if self.pending_class is not None:
-            self.cycles[self.pending_class] += t - self.t_last
-        self.counts[cls] += 1
-        done = t + self.timing.latency[kind]
-        for key in writes:
-            ready[key] = done
-        if done > self.t_max:
-            self.t_max = done
-        iv = self.timing.issue_interval[kind]
-        if iv > 1:
-            self.unit_free[kind] = t + iv
-        self.pending_class = cls
-        self.t_last = t
-        return done
+        def close_run():
+            if ops:
+                counts = [0] * len(CLASSES)
+                for op in ops:
+                    counts[op[0]] += 1
+                parts.append((_OPS, tuple(ops), counts))
+                ops.clear()
+
+        for node in nodes:
+            cls = node.__class__
+            if cls is Repeat:
+                if node.count:
+                    close_run()
+                    body, length = self.compile(node.body, pc)
+                    parts.append((_LOOP, node.count, body))
+                    pc += node.count * length
+            elif cls is Barrier:
+                close_run()
+                parts.append((_BARRIER, None, None))
+            else:
+                fault = _fault(node)
+                if fault:
+                    raise SimulationError(fault, pc=pc)
+                kind, reads, writes = _scoreboard(node)
+                ops.append((_CLASS_INDEX[kind], _KIND_INDEX[kind], self.latency[kind],
+                            self.interval[kind], reads, writes, node.mnemonic))
+                pc += 1
+        close_run()
+        return tuple(parts), pc - start
+
+    def run(self, body) -> None:
+        for part, a, b in body:
+            if part == _OPS:
+                self._run_ops(a, b)
+            elif part == _BARRIER:
+                # close the drain gap on the preceding instruction's class
+                # and move the issue horizon past every outstanding result
+                drained = self.t_max - 1
+                if drained > self.t_last:
+                    self.cycles[self.pending] += drained - self.t_last
+                    self.t_last = drained
+            else:
+                self.run_loop(a, b)
+
+    def _run_ops(self, ops, counts) -> None:
+        """Issue a straight-line run: each op at the earliest cycle after
+        the previous issue at which its unit is free and its reads ready."""
+        ready, unit_free, cycles, trace = self.ready, self.unit_free, self.cycles, self.trace
+        t_last, t_max, pending = self.t_last, self.t_max, self.pending
+        for cls, unit, latency, interval, reads, writes, mnemonic in ops:
+            t = t_last + 1
+            if unit_free[unit] > t:
+                t = unit_free[unit]
+            for key in reads:
+                if ready[key] > t:
+                    t = ready[key]
+            cycles[pending] += t - t_last
+            done = t + latency
+            for key in writes:
+                ready[key] = done
+            if done > t_max:
+                t_max = done
+            if interval > 1:
+                unit_free[unit] = t + interval
+            pending = cls
+            t_last = t
+            if trace is not None:
+                trace.append((done, CLASSES[cls], mnemonic))
+        self.t_last, self.t_max, self.pending = t_last, t_max, pending
+        total = self.counts
+        for c, n in enumerate(counts):
+            total[c] += n
 
     def finish(self) -> None:
-        if self.pending_class is not None:
-            self.cycles[self.pending_class] += self.t_max - self.t_last
+        self.cycles[self.pending] += self.t_max - self.t_last
 
-    def _state_signature(self):
-        t = self.t_last
-        active = tuple(sorted((k, v - t) for k, v in self.ready.items() if v > t))
-        units = tuple(sorted((k, v - t) for k, v in self.unit_free.items() if v > t))
-        return active, units, self.t_max - t, self.pending_class
+    def _walk_loop(self, count: int, body) -> None:
+        for _ in range(count):
+            self.run(body)
 
-    # -- one instruction ---------------------------------------------------
-
-    def step(self, ins) -> None:
-        cls = ins.__class__
-        if cls is Barrier:
-            # close the drain gap on the preceding instruction's class and
-            # move the issue horizon past every outstanding completion
-            drained = self.t_max - 1
-            if drained > self.t_last:
-                if self.pending_class is not None:
-                    self.cycles[self.pending_class] += drained - self.t_last
-                self.t_last = drained
-            self.dcf_open_byte = None
-            return
-        if cls is VLoad:
-            vd = 8 * ins.vd
-            done = self._issue("vload", (), (vd, vd + 4))
-            if self.functional:
-                addr = self._address(ins)
-                self.vrf[vd:vd + 8] = self.memory[addr:addr + 8]
-        elif cls is VStore:
-            vs1 = 8 * ins.vs1
-            done = self._issue("vstore", (vs1, vs1 + 4), ())
-            if self.functional:
-                addr = self._address(ins)
-                self.memory[addr:addr + 8] = self.vrf[vs1:vs1 + 8]
-        elif cls is VClear:
-            vd = 8 * ins.vd
-            done = self._issue("varith", (), (vd, vd + 4))
-            if self.functional:
-                self.vrf[vd:vd + 8] = bytes(8)
-        elif cls is DlI:
-            done = self._issue("dl.i", self._load_reads(ins), (_SEC_BASE + ins.sec,))
-            if self.functional:
-                data, mask = self._gather(ins)
-                self.tile.load_input_sector(ins.sec, data, mask)
-        elif cls is DlM:
-            done = self._issue("dl.m", self._load_reads(ins), (_ROW_BASE + ins.m_row,))
-            if self.functional:
-                data, mask = self._gather(ins)
-                self.tile.load_memory_row(ins.m_row, ins.sec, data, mask)
-        elif cls is DcP:
-            dst = 8 * ins.vd + 4 * ins.dh
-            done = self._issue("dc.p", self._compute_reads(ins), (dst,))
-            if self.functional:
-                p = self.tile.compute_row(ins.m_row, self.mode, self._incoming(ins))
-                self.vrf[dst:dst + 4] = p.to_bytes(4, "little", signed=True)
-        elif cls is DcF:
-            dst = 8 * ins.vd + 4 * ins.dh
-            done = self._issue("dc.f", self._compute_reads(ins), (dst,))
-            if self.functional:
-                nibble = self.tile.compute_row_final(ins.m_row, self.mode,
-                                                     self._incoming(ins), self.quant)
-                self._pack_nibble(dst + ins.bidx, nibble)
-        else:
-            raise SimulationError(f"cannot execute {ins!r}", pc=self.pc)
-        if self.trace is not None:
-            self.trace.append((done, _CLASS_BY_KIND[ins.kind], ins.mnemonic))
-        self.pc += 1
-
-    # -- functional helpers --------------------------------------------------
-
-    def _load_reads(self, ins):
-        if ins.vs1 + ins.nvec > NUM_VREGS:
-            raise SimulationError(
-                f"{ins.mnemonic} reads past register 31 (vs1={ins.vs1}, nvec={ins.nvec})",
-                pc=self.pc)
-        return range(8 * ins.vs1, 8 * (ins.vs1 + ins.nvec), 4)
-
-    @staticmethod
-    def _compute_reads(ins):
-        return (8 * ins.vs1 + 4 * ins.sh, _SEC_BASE, _SEC_BASE + 1, _SEC_BASE + 2,
-                _SEC_BASE + 3, _ROW_BASE + ins.m_row)
-
-    def _gather(self, ins):
-        data = self.vrf[8 * ins.vs1:8 * (ins.vs1 + ins.nvec)].ljust(SECTOR_BYTES, b"\0")
-        # slices beyond nvec carry no payload, so clip them out of the mask
-        return data, ins.mask & ((1 << ins.nvec) - 1)
-
-    def _incoming(self, ins) -> int:
-        # the 24-bit partial is the low three bytes of the sh-selected half
-        src = 8 * ins.vs1 + 4 * ins.sh
-        return int.from_bytes(self.vrf[src:src + 3], "little", signed=True)
-
-    def _address(self, ins) -> int:
-        # checked before slicing: a short or negative slice assigned into a
-        # bytearray would silently resize it
-        addr = ins.addr + self.offsets[ins.region]
-        if addr < 0 or addr + 8 > len(self.memory):
-            raise SimulationError(f"{ins.mnemonic} address {addr:#x} out of bounds", pc=self.pc)
-        return addr
-
-    def _pack_nibble(self, byte: int, nibble: int) -> None:
-        if self.dcf_open_byte == (byte, self.pc - 1):
-            # second result of a pair: merge into the high nibble
-            self.vrf[byte] |= nibble << 4
-            self.dcf_open_byte = None
-        else:
-            # fresh byte: clear it and fill the low nibble
-            self.vrf[byte] = nibble
-            self.dcf_open_byte = (byte, self.pc)
-
-    # -- program walk ------------------------------------------------------
-
-    def run_nodes(self, nodes) -> None:
-        for node in nodes:
-            if node.__class__ is Repeat:
-                self.run_repeat(node)
-            else:
-                self.step(node)
-
-    def _walk_repeat(self, node: Repeat) -> None:
-        offsets = self.offsets
-        for _ in range(node.count):
-            self.run_nodes(node.body)
-            for region, stride in enumerate(node.strides):
-                offsets[region] += stride
-        for region, stride in enumerate(node.strides):
-            offsets[region] -= node.count * stride
-
-    def _extrapolate_repeat(self, node: Repeat) -> None:
-        prev_sig = None
-        prev_delta = None
-        done = 0
-        while done < node.count:
-            t0 = self.t_last
-            c0 = dict(self.cycles)
-            n0 = dict(self.counts)
-            self.run_nodes(node.body)
-            done += 1
-            remaining = node.count - done
-            if remaining == 0:
+    def _extrapolate_loop(self, count: int, body) -> None:
+        """Run iterations until two consecutive ones leave the scoreboard in
+        the same relative state and advance time and counters by the same
+        amounts; the rest is then the same shift, applied in closed form."""
+        previous = None
+        for done in range(1, count + 1):
+            t0, cycles0, counts0 = self.t_last, self.cycles[:len(CLASSES)], self.counts[:]
+            self.run(body)
+            if done == count:
                 return
-            sig = self._state_signature()
-            delta = (self.t_last - t0,
-                     tuple(self.cycles[c] - c0[c] for c in CLASSES),
-                     tuple(self.counts[c] - n0[c] for c in CLASSES))
-            if sig == prev_sig and delta == prev_delta:
-                self._extrapolate(remaining, delta)
+            t = self.t_last
+            state = (tuple((k, v - t) for k, v in enumerate(self.ready) if v > t),
+                     tuple((k, v - t) for k, v in enumerate(self.unit_free) if v > t),
+                     self.t_max - t, self.pending,
+                     t - t0,
+                     tuple(c - c0 for c, c0 in zip(self.cycles, cycles0)),
+                     tuple(n - n0 for n, n0 in zip(self.counts, counts0)))
+            if state == previous:
+                self._shift(count - done, state[4:])
                 return
-            prev_sig, prev_delta = sig, delta
+            previous = state
 
-    def _extrapolate(self, remaining: int, delta) -> None:
+    def _shift(self, remaining: int, delta) -> None:
         dt, dcycles, dcounts = delta
         shift = remaining * dt
         self.t_last += shift
         self.t_max += shift
-        for key in self.ready:
-            self.ready[key] += shift
-        for kind in self.unit_free:
-            self.unit_free[kind] += shift
-        for c, dc, dn in zip(CLASSES, dcycles, dcounts):
+        self.ready[:] = [v + shift for v in self.ready]
+        self.unit_free[:] = [v + shift for v in self.unit_free]
+        for c, dc in enumerate(dcycles):
             self.cycles[c] += remaining * dc
+        for c, dn in enumerate(dcounts):
             self.counts[c] += remaining * dn
-        self.pc += remaining * sum(dcounts)
+
+
+# -- data half -----------------------------------------------------------------
+
+# Data resources as bits of one int: register-file bytes 0..255, then the
+# sixteen 64-bit slices of the input buffer, then sixteen per weight row.
+_ROW_SLICES = ROW_BYTES // SLICE_BYTES
+_INPUT_BIT = 8 * NUM_VREGS
+_ROW_BIT = _INPUT_BIT + _ROW_SLICES
+_ROW_MASK = (1 << _ROW_SLICES) - 1
+_BYTE_OFFSETS = np.arange(8)
+
+
+def _bytes(lo: int, n: int) -> int:
+    return ((1 << n) - 1) << lo
+
+
+def _data_effects(ins) -> tuple:
+    """(resources read, resources written) of a valid instruction.
+
+    A dc.f that completes a byte also reads it, but only right after the
+    dc.f that opened the byte, so within the same pass of a body (a batched
+    body never starts with a dc.f); that read is left out.
+    """
+    cls = ins.__class__
+    if cls is VLoad or cls is VClear:
+        return 0, _bytes(8 * ins.vd, 8)
+    if cls is VStore:
+        return _bytes(8 * ins.vs1, 8), 0
+    if cls is DlI or cls is DlM:
+        mask = ins.mask & ((1 << ins.nvec) - 1)
+        reads = 0
+        for i in range(ins.nvec):
+            if mask >> i & 1:
+                reads |= _bytes(8 * (ins.vs1 + i), 8)
+        base = _INPUT_BIT if cls is DlI else _ROW_BIT + _ROW_SLICES * ins.m_row
+        return reads, mask << (base + SLICES_PER_SECTOR * ins.sec)
+    reads = (_bytes(8 * ins.vs1 + 4 * ins.sh, 3) | _ROW_MASK << _INPUT_BIT
+             | _ROW_MASK << (_ROW_BIT + _ROW_SLICES * ins.m_row))
+    dst = 8 * ins.vd + 4 * ins.dh
+    return reads, (_bytes(dst, 4) if cls is DcP else _bytes(dst + ins.bidx, 1))
+
+
+class _Fault:
+    """A faulty instruction, raising when the data walk reaches it."""
+
+    __slots__ = ("message",)
+
+    def __init__(self, message: str):
+        self.message = message
+
+
+class _Body:
+    """What the data half knows about one body before running it.
+
+    ``items`` is the body with every Repeat(1) inlined and every Repeat(0)
+    dropped; ``length`` the instructions one pass executes. One pass reads
+    the resources in ``exposed`` before writing them and writes those in
+    ``written``. ``accesses`` lists each vload/vstore with the loops that
+    enclose it inside the body, as (is_store, addr, region, ((count,
+    stride), ...)). ``first`` is the class of the first item one pass
+    executes. The body's passes are ``independent`` when no pass reads what
+    another writes: nothing it reads before writing is written at all, it
+    holds no faulty instruction, and it does not open with a dc.f (whose
+    packing would depend on the previous pass).
+    """
+
+    def __init__(self, nodes, analyze):
+        self.items = []
+        self.accesses = []
+        self.length = 0
+        self.exposed = self.written = 0
+        self.first = None
+        faulty = False
+        for node in nodes:
+            cls = node.__class__
+            if cls is Repeat:
+                if not node.count:
+                    continue
+                inner = analyze(node.body)
+                if node.count == 1:
+                    self.items.extend(inner.items)
+                    self.accesses.extend(inner.accesses)
+                else:
+                    self.items.append(node)
+                    self.accesses.extend(
+                        (store, addr, region, ((node.count, _stride(node, region)),) + loops)
+                        for store, addr, region, loops in inner.accesses)
+                self.length += node.count * inner.length
+                reads, writes = inner.exposed, inner.written
+                faulty = faulty or not inner.valid
+                cls = inner.first
+            elif cls is Barrier:
+                self.items.append(node)
+                reads = writes = 0
+            else:
+                fault = _fault(node)
+                if fault:
+                    self.items.append(_Fault(fault))
+                    faulty = True
+                    reads = writes = 0
+                else:
+                    self.items.append(node)
+                    reads, writes = _data_effects(node)
+                    if cls is VLoad or cls is VStore:
+                        self.accesses.append((cls is VStore, node.addr, node.region, ()))
+                self.length += 1
+            if self.first is None:
+                self.first = cls
+            self.exposed |= reads & ~self.written
+            self.written |= writes
+        self.valid = not faulty
+        self.independent = (self.valid and not self.exposed & self.written
+                            and self.first is not DcF)
+
+
+class _Machine:
+    """The data half: architectural state evolved in program order.
+
+    Registers are 32 uint8 arrays of 8 bytes, the tile holds its own.
+    Inside a Repeat run as a batch each array gains one leading axis per
+    batched loop, of the loop's count or of 1 where the state does not vary
+    along it, and the address offsets become arrays over the same axes.
+    """
+
+    def __init__(self, program: Program, memory: bytearray):
+        self.mode = program.mode
+        self.quant = program.quant
+        self.mem = np.frombuffer(memory, dtype=np.uint8)
+        self.regs = list(np.zeros((NUM_VREGS, 8), dtype=np.uint8))
+        self.tile = DimcTile()
+        # per-region address offset of the current iteration(s)
+        self.offsets = [0] * NUM_REGIONS
+        # number of batched loops the walk is inside
+        self.depth = 0
+        self.pc = 0
+        # dc.f write-back packer: register-file byte the previous
+        # instruction, a dc.f, left half filled, or None
+        self.open_byte = None
+        self._bodies: dict = {}
+
+    @property
+    def vrf(self) -> bytearray:
+        """The register file as 8 * NUM_VREGS bytes (outside any batch)."""
+        return bytearray(b"".join(r.tobytes() for r in self.regs))
+
+    def analyze(self, nodes) -> _Body:
+        body = self._bodies.get(id(nodes))
+        if body is None:
+            body = self._bodies[id(nodes)] = _Body(nodes, self.analyze)
+        return body
+
+    def run_nodes(self, nodes) -> None:
+        for item in self.analyze(nodes).items:
+            if item.__class__ is Repeat:
+                self._repeat(item)
+            else:
+                self.step(item)
+
+    # -- loops -------------------------------------------------------------
+
+    def _repeat(self, node: Repeat) -> None:
+        body = self.analyze(node.body)
+        pc = self.pc
+        if body.independent and (self.depth or self._commutes(node, body)):
+            self._run_batched(node)
+        else:
+            for _ in range(node.count):
+                self.run_nodes(node.body)
+                self._advance(node, 1)
+            self._advance(node, -node.count)
+        self.pc = pc + node.count * body.length
+
+    def _advance(self, node: Repeat, times: int) -> None:
+        for region, stride in enumerate(node.strides):
+            self.offsets[region] = self.offsets[region] + times * stride
+
+    def _run_batched(self, node: Repeat) -> None:
+        """All iterations as one pass over a new innermost batch axis; the
+        state after it is the last iteration's."""
+        saved = self.offsets
+        steps = np.arange(node.count)
+        # a region the loop does not advance keeps an axis of size 1
+        self.offsets = [np.expand_dims(offset, -1) + (steps * stride if stride else 0)
+                        for offset, stride in
+                        zip(saved, (_stride(node, r) for r in range(NUM_REGIONS)))]
+        self.regs = [np.expand_dims(r, -2) for r in self.regs]
+        self.tile.push_axis()
+        self.depth += 1
+        self.run_nodes(node.body)
+        self.depth -= 1
+        self.tile.pop_axis()
+        self.regs = [r[..., -1, :] for r in self.regs]
+        self.offsets = saved
+
+    def _commutes(self, node: Repeat, body: _Body) -> bool:
+        """Whether the loop's memory accesses allow any iteration order:
+        all in bounds, no load touching a stored byte, no two stores
+        overlapping. Checked over every iteration of the loop and of the
+        loops inside it."""
+        loads, stores = [], []
+        for store, addr, region, loops in body.accesses:
+            starts = np.array([self.offsets[region] + addr])
+            for count, stride in ((node.count, _stride(node, region)),) + loops:
+                if stride:
+                    starts = (starts[:, None] + np.arange(count) * stride).ravel()
+                elif store:
+                    return False
+            (stores if store else loads).append(starts)
+        if not loads and not stores:
+            return True
+        everything = np.concatenate(loads + stores)
+        lo, hi = everything.min(), everything.max()
+        if lo < 0 or hi + 8 > len(self.mem):
+            return False
+        if not stores:
+            return True
+        stores = np.sort(np.concatenate(stores))
+        if np.any(np.diff(stores) < 8):
+            return False
+        if loads:
+            loads = np.concatenate(loads)
+            fenced = np.concatenate(([lo - 8], stores, [hi + 8]))
+            after = np.searchsorted(fenced, loads)
+            if np.any(fenced[after] - loads < 8) or np.any(loads - fenced[after - 1] < 8):
+                return False
+        return True
+
+    # -- one instruction -----------------------------------------------------
+
+    def step(self, ins) -> None:
+        cls = ins.__class__
+        if cls is DcF:
+            self._dcf(ins)
+            self.pc += 1
+            return
+        self.open_byte = None
+        if cls is Barrier:
+            return
+        if cls is VLoad:
+            self.regs[ins.vd] = self.mem[self._address(ins)]
+        elif cls is VStore:
+            self.mem[self._address(ins)] = self.regs[ins.vs1]
+        elif cls is VClear:
+            self.regs[ins.vd] = np.zeros((1,) * self.depth + (8,), dtype=np.uint8)
+        elif cls is DlI:
+            self.tile.load_input_sector(ins.sec, *self._gather(ins))
+        elif cls is DlM:
+            self.tile.load_memory_row(ins.m_row, ins.sec, *self._gather(ins))
+        elif cls is DcP:
+            p = self.tile.compute_row(ins.m_row, self.mode, self._incoming(ins))
+            self._write(ins.vd, 4 * ins.dh, np.expand_dims(np.asarray(p, "<i4"), -1).view(np.uint8))
+        else:
+            raise SimulationError(ins.message, pc=self.pc)
+        self.pc += 1
+
+    def _address(self, ins) -> np.ndarray:
+        """Byte indices of a vload/vstore, over the batch axes if any."""
+        addr = ins.addr + self.offsets[ins.region]
+        # a batched loop checked its addresses up front
+        if not self.depth and not 0 <= addr <= len(self.mem) - 8:
+            raise SimulationError(f"{ins.mnemonic} address {addr:#x} out of bounds", pc=self.pc)
+        return np.expand_dims(addr, -1) + _BYTE_OFFSETS
+
+    def _gather(self, ins) -> tuple:
+        """A dl.i/dl.m sector payload from its register group, and its mask
+        with the slices beyond nvec (which carry no payload) clipped out."""
+        regs = list(np.broadcast_arrays(*self.regs[ins.vs1:ins.vs1 + ins.nvec]))
+        pad = SECTOR_BYTES - 8 * ins.nvec
+        if pad:
+            regs.append(np.zeros(regs[0].shape[:-1] + (pad,), dtype=np.uint8))
+        return np.concatenate(regs, axis=-1), ins.mask & ((1 << ins.nvec) - 1)
+
+    def _incoming(self, ins) -> np.ndarray:
+        # the 24-bit partial is the low three bytes of the sh-selected half
+        lo = 4 * ins.sh
+        raw = self.regs[ins.vs1][..., lo:lo + 3].astype(np.int64)
+        value = raw[..., 0] | raw[..., 1] << 8 | raw[..., 2] << 16
+        return value - (value >> 23 << 24)
+
+    def _write(self, reg: int, lo: int, value: np.ndarray) -> None:
+        target = writable(self.regs[reg], np.broadcast_shapes(
+            self.regs[reg].shape, value.shape[:-1] + (8,)))
+        target[..., lo:lo + value.shape[-1]] = value
+        self.regs[reg] = target
+
+    def _dcf(self, ins) -> None:
+        nibble = np.asarray(self.tile.compute_row_final(
+            ins.m_row, self.mode, self._incoming(ins), self.quant), dtype=np.uint8)[..., None]
+        lo = 4 * ins.dh + ins.bidx
+        byte = 8 * ins.vd + lo
+        if self.open_byte == byte:
+            # second result of a pair: merge into the high nibble
+            self._write(ins.vd, lo, self.regs[ins.vd][..., lo:lo + 1] | nibble << 4)
+            self.open_byte = None
+        else:
+            # fresh byte: clear it and fill the low nibble
+            self._write(ins.vd, lo, nibble)
+            self.open_byte = byte
 
 
 def execute(program: Program, timing: TimingModel | None = None,
@@ -508,22 +807,28 @@ def execute(program: Program, timing: TimingModel | None = None,
 
     With a memory image the program executes functionally (the returned
     vrf and memory are the final architectural state). With a memory
-    image or a trace every Repeat iteration is walked; with neither the run
-    is timing-only and extrapolates each Repeat from its steady state, with
-    identical cycle results. Identical inputs always produce an identical
-    outcome.
+    image or a trace the timing walks every Repeat iteration; with neither
+    the run is timing-only and extrapolates each Repeat from its steady
+    state, with identical cycle results. Identical inputs always produce an
+    identical outcome.
     """
     timing = timing if timing is not None else TimingModel()
-    machine = _Machine(program, timing, memory, trace)
-    machine.run_nodes(program.body)
-    machine.finish()
+    vrf = bytearray(8 * NUM_VREGS)
+    if memory is not None:
+        # data first: a fault it meets is the first one in program order
+        machine = _Machine(program, memory)
+        machine.run_nodes(program.body)
+        vrf = machine.vrf
+    clock = _Clock(timing, trace, walk=memory is not None or trace is not None)
+    clock.run(clock.compile(program.body)[0])
+    clock.finish()
     return SimOutcome(
-        total_cycles=machine.t_max,
-        cycles_by_class=machine.cycles,
-        counts_by_class=machine.counts,
-        vrf=machine.vrf,
-        memory=machine.memory,
-        functional=machine.functional,
+        total_cycles=clock.t_max,
+        cycles_by_class=dict(zip(CLASSES, clock.cycles)),
+        counts_by_class=dict(zip(CLASSES, clock.counts)),
+        vrf=vrf,
+        memory=memory,
+        functional=memory is not None,
     )
 
 

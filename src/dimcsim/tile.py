@@ -29,11 +29,11 @@ SLICES_PER_SECTOR = SECTOR_BYTES // SLICE_BYTES
 
 PARTIAL_BITS = 24
 PARTIAL_MIN = -(1 << (PARTIAL_BITS - 1))
-PARTIAL_MAX = (1 << (PARTIAL_BITS - 1)) - 1
 
 
-def wrap_partial(value: int) -> int:
-    """Reduce an integer into the signed 24-bit accumulator range.
+def wrap_partial(value):
+    """Reduce an integer (or an int64 array, elementwise) into the signed
+    24-bit accumulator range.
 
     The accumulator wraps on overflow instead of saturating, so reduction
     is plain two's-complement truncation to 24 bits.
@@ -103,22 +103,19 @@ class QuantConfig:
 
 
 def decode_elements(data, bits: int, signed: bool) -> np.ndarray:
-    """Unpack a little-endian bit vector into an int64 element array."""
-    raw = np.frombuffer(bytes(data), dtype=np.uint8)
-    if bits == 4:
-        out = np.empty(raw.size * 2, dtype=np.int64)
-        out[0::2] = raw & 0xF
-        out[1::2] = raw >> 4
-    elif bits == 2:
-        out = np.empty(raw.size * 4, dtype=np.int64)
-        for j in range(4):
-            out[j::4] = (raw >> (2 * j)) & 0x3
-    elif bits == 1:
-        out = np.unpackbits(raw, bitorder="little").astype(np.int64)
-    else:
+    """Unpack a little-endian bit vector into an int8 element array.
+
+    ``data`` is a bytes-like vector or a uint8 array whose last axis holds
+    the bytes; leading axes are kept. Elements span at most [-8, 15], and
+    one byte each keeps a batch of decoded rows small.
+    """
+    if bits not in (1, 2, 4):
         raise ValueError(f"cannot decode {bits}-bit elements")
+    raw = data if isinstance(data, np.ndarray) else np.frombuffer(bytes(data), dtype=np.uint8)
+    fields = (raw[..., None] >> np.arange(0, 8, bits, dtype=np.uint8)) & ((1 << bits) - 1)
+    out = fields.reshape(raw.shape[:-1] + (-1,)).astype(np.int8)
     if signed:
-        out -= (out >= (1 << (bits - 1))) * (1 << bits)
+        out -= (out >> (bits - 1)) << bits
     return out
 
 
@@ -128,16 +125,25 @@ def pack_elements(values: np.ndarray, bits: int) -> np.ndarray:
     if bits not in (1, 2, 4):
         raise ValueError(f"cannot pack {bits}-bit elements")
     per_byte = 8 // bits
-    vals = np.asarray(values, dtype=np.int64)
-    if vals.size % per_byte:
-        vals = np.concatenate([vals, np.zeros(per_byte - vals.size % per_byte, dtype=np.int64)])
-    u = (vals & ((1 << bits) - 1)).astype(np.uint8)
+    # the cast to uint8 keeps each element's low eight bits, two's
+    # complement included, without a wider temporary
+    u = np.asarray(values).reshape(-1).astype(np.uint8) & ((1 << bits) - 1)
+    if u.size % per_byte:
+        u = np.concatenate([u, np.zeros(per_byte - u.size % per_byte, dtype=np.uint8)])
     if bits == 1:
         return np.packbits(u, bitorder="little")
-    out = np.zeros(vals.size // per_byte, dtype=np.uint8)
+    out = np.zeros(u.size // per_byte, dtype=np.uint8)
     for j in range(per_byte):
         out |= u[j::per_byte] << (bits * j)
     return out
+
+
+def writable(target: np.ndarray, shape) -> np.ndarray:
+    """``target`` broadcast to ``shape``, as an array that may be written in
+    place: ``target`` itself when it already is one, else a copy."""
+    if target.shape == shape and target.flags.writeable:
+        return target
+    return np.broadcast_to(target, shape).copy()
 
 
 class DimcTile:
@@ -146,6 +152,12 @@ class DimcTile:
     Loads mutate the tile in place; computes never do. A tile starts with
     every bit cleared, which the layer mapper relies on for sectors it
     leaves untouched.
+
+    The state may carry leading batch axes, one per loop the simulator
+    runs as a batch: ``push_axis`` adds one of size 1 and ``pop_axis``
+    keeps its last entry. Load payloads, incoming partials and compute
+    results broadcast against them, so a row that does not vary along an
+    axis is stored once for all of it.
     """
 
     def __init__(self):
@@ -155,6 +167,22 @@ class DimcTile:
         # (bits, signed, array), which keep repeated computes against an
         # unchanged row or buffer cheap; a load drops its own row's entry.
         self._decoded: dict = {}
+
+    # -- batch axes --------------------------------------------------------
+
+    def push_axis(self) -> None:
+        """Add an innermost batch axis of size 1 to the whole state."""
+        self._input = np.expand_dims(self._input, -2)
+        self._memory = np.expand_dims(self._memory, -3)
+        self._decoded = {key: (bits, signed, np.expand_dims(elements, -2))
+                         for key, (bits, signed, elements) in self._decoded.items()}
+
+    def pop_axis(self) -> None:
+        """Drop the innermost batch axis, keeping its last entry."""
+        self._input = self._input[..., -1, :]
+        self._memory = self._memory[..., -1, :, :]
+        self._decoded = {key: (bits, signed, elements[..., -1, :])
+                         for key, (bits, signed, elements) in self._decoded.items()}
 
     # -- loads ------------------------------------------------------------
 
@@ -168,6 +196,8 @@ class DimcTile:
         self._check_sector(sector)
         buf = self._as_sector_bytes(data)
         mask = self._check_mask(valid_mask)
+        self._input = writable(self._input, np.broadcast_shapes(
+            self._input.shape, buf.shape[:-1] + (ROW_BYTES,)))
         self._masked_write(self._input, sector * SECTOR_BYTES, buf, mask)
         self._decoded.pop(ROWS, None)
 
@@ -178,42 +208,45 @@ class DimcTile:
         self._check_sector(sector)
         buf = self._as_sector_bytes(data)
         mask = self._check_mask(valid_mask)
-        self._masked_write(self._memory[row], sector * SECTOR_BYTES, buf, mask)
+        self._memory = writable(self._memory, np.broadcast_shapes(
+            self._memory.shape, buf.shape[:-1] + (ROWS, ROW_BYTES)))
+        self._masked_write(self._memory[..., row, :], sector * SECTOR_BYTES, buf, mask)
         self._decoded.pop(row, None)
 
     # -- computes ---------------------------------------------------------
 
-    def compute_row(self, row: int, mode: PrecisionMode, incoming: int = 0) -> int:
+    def compute_row(self, row: int, mode: PrecisionMode, incoming=0):
         """Dot product of the input buffer with weight row ``row`` plus the
         incoming partial, wrapped into the 24-bit accumulator range.
 
         The whole 1024-bit row participates: elements the mapper never
         loaded stay zero and contribute nothing. State is not modified.
+        Over batch axes (or an int64 array of incoming partials) the
+        result is an int64 array; otherwise it is one integer.
         """
         self._check_row(row)
         if not mode.dimc_supported:
             raise ValueError(f"tile computes support at most 4-bit elements, got {mode.bits}")
         x = self._elements(ROWS, self._input, mode.bits, mode.input_signed)
-        w = self._elements(row, self._memory[row], mode.bits, mode.weight_signed)
-        return wrap_partial(int(np.dot(x, w)) + incoming)
+        w = self._elements(row, self._memory[..., row, :], mode.bits, mode.weight_signed)
+        # |dot| <= 1024 * 15 * 15 fits int32, so the MAC is exact there
+        dot = np.einsum("...e,...e->...", x, w, dtype=np.int32)
+        return wrap_partial(dot.astype(np.int64) + incoming)
 
-    def compute_row_final(self, row: int, mode: PrecisionMode, incoming: int,
-                          quant: QuantConfig) -> int:
+    def compute_row_final(self, row: int, mode: PrecisionMode, incoming,
+                          quant: QuantConfig):
         """compute_row followed by ReLU, right shift and saturation.
 
         Returns the quantized value as an unsigned nibble in [0, 15].
         """
         p = self.compute_row(row, mode, incoming)
-        if p < 0:
-            return 0
-        q = p >> quant.right_shift
-        return q if q <= quant.max_value else quant.max_value
+        return np.minimum(np.maximum(p, 0) >> quant.right_shift, quant.max_value)
 
     # -- readback ---------------------------------------------------------
 
     def memory_row(self, row: int) -> bytes:
         self._check_row(row)
-        return self._memory[row].tobytes()
+        return self._memory[..., row, :].tobytes()
 
     def input_buffer(self) -> bytes:
         return self._input.tobytes()
@@ -225,7 +258,7 @@ class DimcTile:
         for i in range(SLICES_PER_SECTOR):
             if mask >> i & 1:
                 lo = offset + i * SLICE_BYTES
-                target[lo:lo + SLICE_BYTES] = buf[i * SLICE_BYTES:(i + 1) * SLICE_BYTES]
+                target[..., lo:lo + SLICE_BYTES] = buf[..., i * SLICE_BYTES:(i + 1) * SLICE_BYTES]
 
     def _elements(self, key: int, raw: np.ndarray, bits: int, signed: bool) -> np.ndarray:
         hit = self._decoded.get(key)
@@ -252,7 +285,10 @@ class DimcTile:
 
     @staticmethod
     def _as_sector_bytes(data) -> np.ndarray:
-        buf = np.frombuffer(bytes(data), dtype=np.uint8)
-        if buf.size != SECTOR_BYTES:
-            raise ValueError(f"sector payload must be {SECTOR_BYTES} bytes, got {buf.size}")
+        """A sector payload: bytes, or a uint8 array with the bytes on its
+        last axis."""
+        buf = data if isinstance(data, np.ndarray) else np.frombuffer(bytes(data), dtype=np.uint8)
+        size = buf.shape[-1] if buf.ndim else 0
+        if size != SECTOR_BYTES:
+            raise ValueError(f"sector payload must be {SECTOR_BYTES} bytes, got {size}")
         return buf

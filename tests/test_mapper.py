@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,8 @@ from dimcsim.cli import load_workload
 from dimcsim.isa import DcF, DcP, DlI, DlM
 from dimcsim.mapper import (LayerDescriptor, MappingError,
                             NotDimcEligibleError, lower, ops_count, plan_mapping)
-from dimcsim.sim import INSTRUCTION_KINDS, Repeat, TimingModel, execute, run_layer
+from dimcsim.sim import (INSTRUCTION_KINDS, Program, Repeat, TimingModel, VLoad, VStore,
+                         execute, run_layer)
 from dimcsim.tile import PrecisionMode, QuantConfig
 
 
@@ -26,12 +29,17 @@ def tensors(layer, seed=0):
     return x, w
 
 
-def instructions(nodes):
-    """The instruction stream with every Repeat unrolled."""
+def instructions(nodes, offsets=(0, 0, 0)):
+    """The instruction stream with every Repeat unrolled and every vload and
+    vstore address rebased onto its iteration."""
     for node in nodes:
         if isinstance(node, Repeat):
-            for _ in range(node.count):
-                yield from instructions(node.body)
+            for n in range(node.count):
+                inner = [off + n * stride for off, stride in
+                         zip(offsets, node.strides + (0,) * (3 - len(node.strides)))]
+                yield from instructions(node.body, inner)
+        elif isinstance(node, (VLoad, VStore)):
+            yield dataclasses.replace(node, addr=node.addr + offsets[node.region])
         else:
             yield node
 
@@ -344,3 +352,29 @@ def test_extrapolated_cycles_equal_walked_cycles(layer, terminal, timing):
     assert extrapolated.total_cycles == walked.total_cycles
     assert extrapolated.cycles_by_class == walked.cycles_by_class
     assert extrapolated.counts_by_class == walked.counts_by_class
+
+
+@settings(max_examples=40, deadline=5000, derandomize=True)
+@given(layer=small_layers(), terminal=st.sampled_from(("final", "partial")),
+       quant=st.builds(QuantConfig, right_shift=st.integers(0, 10),
+                       out_bits=st.sampled_from((1, 2, 4))),
+       timing=timing_tables, seed=st.integers(0, 2**16))
+def test_batched_run_matches_unrolled_program_and_oracle(layer, terminal, quant, timing, seed):
+    # the loop-compressed program, with its Repeats run as batches, against
+    # the same program unrolled into straight-line code, which runs one
+    # instruction at a time; and both against the convolution reference
+    low = lower(layer, terminal=terminal, quant=quant)
+    x, w = tensors(layer, seed)
+    outcome, got = run_layer(low, timing, x, w)
+    want = oracle.conv_partials(x, w, layer.stride, layer.padding)
+    if terminal == "final":
+        want = oracle.quantize_partials(want, quant)
+    assert np.array_equal(got, want)
+    flat = Program(tuple(instructions(low.program.body)), low.program.mode, quant)
+    unrolled = execute(flat, timing, low.memory_image(x, w))
+    assert outcome.memory == unrolled.memory
+    assert outcome.vrf == unrolled.vrf
+    extrapolated = execute(low.program, timing)
+    assert outcome.total_cycles == extrapolated.total_cycles == unrolled.total_cycles
+    assert outcome.cycles_by_class == extrapolated.cycles_by_class
+    assert outcome.counts_by_class == extrapolated.counts_by_class

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from dimcsim.isa import DcF, DcP, DlI, DlM
 from dimcsim.sim import (NUM_VREGS, Barrier, Program, Repeat, SimulationError,
                          TimingModel, VClear, VLoad, VStore, _Machine, class_of,
                          execute)
-from dimcsim.tile import PrecisionMode, QuantConfig
+from dimcsim.tile import DimcTile, PrecisionMode, QuantConfig
 
 
 def prog(body, **kw):
@@ -208,7 +210,7 @@ def test_out_of_bounds_access_reports_pc_and_keeps_state(kind, addr):
     # instead of raising, so the bounds check has to come first
     mem = bytearray(16)
     program = prog([VClear(1), kind(1, addr)])
-    machine = _Machine(program, TimingModel(), mem, None)
+    machine = _Machine(program, mem)
     with pytest.raises(SimulationError, match="out of bounds") as err:
         machine.run_nodes(program.body)
     assert err.value.pc == 1
@@ -263,6 +265,91 @@ def test_walked_repeat_rebases_addresses():
     assert out.total_cycles == execute(prog(flat), memory=bytearray(112)).total_cycles
     with pytest.raises(ValueError, match="strides"):
         Repeat(1, (), strides=(0, 0, 0, 0))
+
+
+def _counting_computes(monkeypatch) -> list:
+    """Record every tile compute call (dc.f's counts once, as compute_row)."""
+    calls = []
+    real = DimcTile.compute_row
+
+    def counted(self, *args):
+        calls.append(args[0])
+        return real(self, *args)
+
+    monkeypatch.setattr(DimcTile, "compute_row", counted)
+    return calls
+
+
+def _rebased(body, n, strides):
+    """Iteration n of a Repeat body with its addresses rebased."""
+    return [dataclasses.replace(i, addr=i.addr + n * strides[i.region])
+            if type(i) in (VLoad, VStore) else i for i in body]
+
+
+# weights at 0, six 8-byte patches at 8, six 8-byte outputs at 56
+_PROLOGUE = (VLoad(1, 0), DlM(vs1=1, nvec=1, sec=0, mask=1, m_row=0))
+
+
+def _patch_memory():
+    rng = np.random.default_rng(3)
+    return bytearray(rng.integers(0, 256, 56, dtype=np.uint8).tobytes()) + bytearray(48)
+
+
+def test_independent_repeat_runs_as_one_batch(monkeypatch):
+    # every iteration loads its own patch and stores its own result, so the
+    # six iterations run as one pass: one tile call per compute instruction
+    body = (VLoad(2, 8, region=1), DlI(vs1=2, nvec=1, sec=0, mask=1),
+            DcP(vs1=0, vd=3, sh=0, dh=0, m_row=0),
+            DcF(vs1=3, vd=4, sh=0, dh=1, m_row=0, bidx=2), VStore(4, 56, region=2))
+    strides = (0, 8, 8)
+    calls = _counting_computes(monkeypatch)
+    batched = execute(prog(_PROLOGUE + (Repeat(6, body, strides),),
+                           quant=QuantConfig(right_shift=2)), memory=_patch_memory())
+    assert len(calls) == 2
+    flat = list(_PROLOGUE) + [i for n in range(6) for i in _rebased(body, n, strides)]
+    unrolled = execute(prog(flat, quant=QuantConfig(right_shift=2)), memory=_patch_memory())
+    assert len(calls) == 2 + 12
+    assert batched.memory == unrolled.memory and batched.vrf == unrolled.vrf
+    assert batched.memory[56:] != bytes(48)
+
+
+@pytest.mark.parametrize("body, strides", [
+    # dc.p accumulates onto the partial the previous iteration left in v3
+    ((VLoad(2, 8, region=1), DlI(vs1=2, nvec=1, sec=0, mask=1),
+      DcP(vs1=3, vd=3, sh=0, dh=0, m_row=0), VStore(3, 56, region=2)), (0, 8, 8)),
+    # the vload from region 2 reads the word the previous iteration stored
+    ((VLoad(2, 48, region=2), DlI(vs1=2, nvec=1, sec=0, mask=1),
+      DcP(vs1=0, vd=3, sh=0, dh=0, m_row=0), VStore(3, 56, region=2)), (0, 0, 8)),
+], ids=["carried-partial", "load-after-store"])
+def test_repeat_with_carried_state_matches_flat_expansion(monkeypatch, body, strides):
+    calls = _counting_computes(monkeypatch)
+    walked = execute(prog(_PROLOGUE + (Repeat(6, body, strides),)), memory=_patch_memory())
+    assert len(calls) == 6  # one pass per iteration
+    flat = list(_PROLOGUE) + [i for n in range(6) for i in _rebased(body, n, strides)]
+    unrolled = execute(prog(flat), memory=_patch_memory())
+    assert walked.memory == unrolled.memory and walked.vrf == unrolled.vrf
+
+
+@pytest.mark.parametrize("load_base, store_base, pc", [(0, 56, 13), (56, 0, 12)],
+                         ids=["vstore", "vload"])
+def test_out_of_bounds_in_a_batched_iteration_reports_its_pc(load_base, store_base, pc):
+    # a 2x3 grid copy whose last access, iteration (1, 2), ends past the
+    # 96-byte image: the error names the pc the unrolled program fails at
+    inner = (VLoad(1, load_base, region=1), VStore(1, store_base, region=2))
+    program = prog([Repeat(2, (VClear(2), Repeat(3, inner, strides=(0, 8, 8))),
+                           strides=(0, 24, 24))])
+    flat = prog([i for g in range(2) for i in [VClear(2)] +
+                 [j for p in range(3) for j in _rebased(inner, 3 * g + p, (0, 8, 8))]])
+    states = []
+    for p in (program, flat):
+        mem = bytearray(range(96))
+        machine = _Machine(p, mem)
+        with pytest.raises(SimulationError, match="out of bounds") as err:
+            machine.run_nodes(p.body)
+        assert err.value.pc == pc
+        assert len(mem) == 96 and len(machine.vrf) == 8 * NUM_VREGS
+        states.append((bytes(mem), machine.vrf))
+    assert states[0] == states[1]
 
 
 def test_timing_model_validation():

@@ -186,3 +186,28 @@ def test_pack_decode_roundtrip():
             vals = rng.integers(lo, hi + 1, 1024 // bits)
             packed = pack_elements(vals, bits)
             assert np.array_equal(decode_elements(packed.tobytes(), bits, signed), vals)
+
+
+def test_batch_axis_matches_one_tile_per_entry():
+    # three tiles' worth of weight rows under one batch axis, sharing one
+    # input sector through broadcasting
+    rng = np.random.default_rng(8)
+    mode, quant = PrecisionMode(2, True, False), QuantConfig(3, 2)
+    rows = rng.integers(0, 256, (3, 32), dtype=np.uint8)
+    sector_bytes = rng.integers(0, 256, 32, dtype=np.uint8)
+    incoming = rng.integers(-(1 << 23), 1 << 23, 3)
+    batched = DimcTile()
+    batched.push_axis()
+    batched.load_input_sector(2, sector_bytes, 0b1111)
+    batched.load_memory_row(5, 2, rows, 0b1011)
+    partials = batched.compute_row(5, mode, incoming)
+    finals = batched.compute_row_final(5, mode, incoming, quant)
+    for n in range(3):
+        one = DimcTile()
+        one.load_input_sector(2, sector_bytes.tobytes(), 0b1111)
+        one.load_memory_row(5, 2, rows[n].tobytes(), 0b1011)
+        assert partials[n] == one.compute_row(5, mode, int(incoming[n]))
+        assert finals[n] == one.compute_row_final(5, mode, int(incoming[n]), quant)
+    batched.pop_axis()
+    assert batched.memory_row(5) == one.memory_row(5)
+    assert batched.input_buffer() == one.input_buffer()
