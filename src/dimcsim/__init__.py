@@ -8,7 +8,7 @@ from .mapper import (LayerDescriptor, MappingPlan, NotDimcEligibleError,
                      lower, ops_count, plan_mapping)
 from .metrics import PerfReport, ans, gops, peak_gops, speedup
 from .sim import (Program, Repeat, SimOutcome, TimingModel, VClear, VLoad,
-                  VStore, class_of, execute, run_layer)
+                  VStore, execute, run_layer)
 from .tile import DimcTile, PrecisionMode, QuantConfig, wrap_partial
 
 __version__ = "0.1.0"
@@ -20,6 +20,6 @@ __all__ = [
     "lower", "ops_count", "plan_mapping",
     "PerfReport", "ans", "gops", "peak_gops", "speedup",
     "Program", "Repeat", "SimOutcome", "TimingModel",
-    "VClear", "VLoad", "VStore", "class_of", "execute", "run_layer",
+    "VClear", "VLoad", "VStore", "execute", "run_layer",
     "DimcTile", "PrecisionMode", "QuantConfig", "wrap_partial",
 ]

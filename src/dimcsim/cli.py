@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baseline, isa, mapper, metrics, oracle, sim
+from . import __version__, baseline, isa, mapper, metrics, oracle, sim
 from .tile import PrecisionMode
 
 BUILTIN_WORKLOADS = ("resnet50",)
@@ -179,11 +179,14 @@ def cmd_simulate(args) -> int:
             if problem:
                 failures.append(problem)
     header = {
+        "report_schema": metrics.REPORT_SCHEMA,
+        "dimcsim_version": __version__,
         "network": workload.network,
         "area_ratio": args.area_ratio,
         "freq_hz": timing.freq_hz,
         "memory_latency": timing.memory_latency,
         "latency": timing.latency,
+        "issue_interval": timing.issue_interval,
     }
     if args.format == "json":
         metrics.write_report_json(reports, args.output, header=header,
@@ -280,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also run each layer functionally against the "
                             "convolution reference and check its cycles walked over "
                             "every iteration against the extrapolated ones (data runs "
-                            "batched; the timing walk grows with the instruction count)")
+                            "batched; the timing walk costs per straight-line run and stall)")
     sim_p.add_argument("--trace", metavar="DIR",
                        help="write per-layer event traces (implies full execution)")
     sim_p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -20,6 +20,10 @@ REPORT_COLUMNS = ("layer", "ops", "dimc_cycles", "baseline_cycles", "gops",
                   "speedup", "ans", "area_ratio", "frac_computing",
                   "frac_loading", "frac_storing")
 
+# version of the JSON report layout, raised whenever a key is added, dropped
+# or changes meaning
+REPORT_SCHEMA = 1
+
 SWEEP_COLUMNS = ("point", "tiling_factor", "group_count", "dimc_cycles",
                  "baseline_cycles", "speedup", "gops")
 

@@ -13,7 +13,7 @@ Register r is bytes [8r, 8r+8) of the register file (``SimOutcome.vrf``)
 and its half h is bytes [8r+4h, 8r+4h+4). The data half keeps each
 register as its own 8-byte array, so that inside a batch one register can
 vary along an iteration axis while another does not. The scoreboard keys
-a register half by its byte offset.
+half h of register r as 2r + h.
 
 Timing contract
 ---------------
@@ -56,15 +56,25 @@ A ``Repeat`` node stands for iterations of a fixed instruction block that
 differ only in memory addresses: each ``VLoad``/``VStore`` names an address
 region, which each ``Repeat`` advances by its own stride per iteration.
 
-The timing half compiles each body once per timing table into tuples of
-(class, kind, latency, issue interval, keys read, keys written), walked
-against list-backed scoreboard and unit state. A run without memory image
-or trace is timing-only: iterations are walked until two consecutive ones
-leave the scoreboard in the same relative state and advance time by the
-same amount, and the remaining ones are applied as a closed-form shift.
-A run with a memory image or a trace walks every iteration. Addresses
-never influence timing, so both give equal cycles, and ``--verify``
-checks that they do.
+The timing half compiles each body once per timing table, and each
+straight-line run in it to a schedule of critical points: every issue
+time is a base plus a constant offset, and a new base starts only where
+the run waits for something it cannot resolve at compile time: a value or
+a busy unit left by code before the run, or a stall on an older base that
+the static lower bound between bases does not rule out. Advancing the
+scoreboard over a run evaluates those points only, books each class's
+cycles as a sum of base differences plus a constant, and stores the last
+write of each key. When none of the values the run waits for binds, which
+one check over their keys decides, the bases sit at their static offsets
+and no point is evaluated; in a loop's later iterations, keys the body
+never writes are not even checked. A run without memory image or trace is
+timing-only: iterations are run until two consecutive ones leave the
+scoreboard in the same relative state and advance time by the same
+amount, and the remaining ones are applied as a closed-form shift. A run
+with a memory image or a trace walks every iteration through the same
+compiled runs, at a cost per stall and per key rather than per
+instruction. Addresses never influence timing, so both give equal cycles,
+and ``--verify`` checks that they do.
 
 The data half runs a Repeat as one batch when a static pass over its body
 (``_Body``) shows that no iteration reads state another one writes: every
@@ -90,6 +100,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import sub
 
 import numpy as np
 
@@ -208,14 +219,6 @@ class Program:
         object.__setattr__(self, "body", tuple(self.body))
 
 
-def class_of(instr) -> str:
-    """Operation class of a decoded instruction: computing, loading or storing."""
-    try:
-        return _CLASS_BY_KIND[instr.kind]
-    except (AttributeError, KeyError):
-        raise ValueError(f"not a simulatable instruction: {instr!r}") from None
-
-
 def _check_cycles(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
@@ -327,52 +330,205 @@ def _stride(node: Repeat, region: int) -> int:
 
 # -- timing half ---------------------------------------------------------------
 
-# Scoreboard keys, small ints indexing one list: a register half is keyed by
-# its register-file byte offset (0..252). The input buffer is one key, since
-# every compute reads all four sectors and dl.i results complete in issue
-# order, so the latest dl.i bounds them all; weight rows follow it.
-_INPUT_KEY = 8 * NUM_VREGS
+# Scoreboard keys, small ints indexing one list: half h of register r is key
+# 2r + h. The input buffer is one key, since every compute reads all four
+# sectors and dl.i results complete in issue order, so the latest dl.i
+# bounds them all; weight rows follow it, then one key per instruction kind
+# holding the cycle its unit is free again.
+_INPUT_KEY = 2 * NUM_VREGS
 _ROW_KEY = _INPUT_KEY + 1
-_SCOREBOARD_KEYS = _ROW_KEY + ROWS
-
-# parts of a compiled body: a straight-line run of ops, a barrier, a loop
-_OPS, _BARRIER, _LOOP = range(3)
+_UNIT_KEY = _ROW_KEY + ROWS
+_SCOREBOARD_KEYS = _UNIT_KEY + len(INSTRUCTION_KINDS)
 
 
 def _scoreboard(ins) -> tuple:
     """(kind, keys read, keys written) of a valid instruction."""
     cls = ins.__class__
     if cls is VLoad or cls is VClear:
-        vd = 8 * ins.vd
-        return ins.kind, (), (vd, vd + 4)
+        vd = 2 * ins.vd
+        return ins.kind, (), (vd, vd + 1)
     if cls is VStore:
-        vs1 = 8 * ins.vs1
-        return "vstore", (vs1, vs1 + 4), ()
+        vs1 = 2 * ins.vs1
+        return "vstore", (vs1, vs1 + 1), ()
     if cls is DlI or cls is DlM:
         written = _INPUT_KEY if cls is DlI else _ROW_KEY + ins.m_row
-        return ins.kind, tuple(range(8 * ins.vs1, 8 * (ins.vs1 + ins.nvec), 4)), (written,)
-    return (ins.kind, (8 * ins.vs1 + 4 * ins.sh, _INPUT_KEY, _ROW_KEY + ins.m_row),
-            (8 * ins.vd + 4 * ins.dh,))
+        return ins.kind, tuple(range(2 * ins.vs1, 2 * (ins.vs1 + ins.nvec))), (written,)
+    return (ins.kind, (2 * ins.vs1 + ins.sh, _INPUT_KEY, _ROW_KEY + ins.m_row),
+            (2 * ins.vd + ins.dh,))
+
+
+class _Run:
+    """A straight-line run compiled to its critical points.
+
+    Every issue time of the run is ``base[j] + offset``. Base 0 is the first
+    issue, the latest of the cycle after the run's entry and the entry
+    values of the ``head`` keys. Each later base is a critical point
+    (offset, keys, terms, class): the latest of the previous base plus
+    ``offset``, the entry values of ``keys``, and ``base[k] + c`` for each
+    (k, c) in ``terms``; the gap up to it is booked on ``class``.
+
+    ``symbolic`` holds what the run leaves behind, in terms of the bases:
+    (gaps, stores, peaks, tail, rows). ``gaps`` is the constant rest of
+    each class's cycles as (class, cycles); ``stores`` each key's last
+    write as (key, base, offset); ``peaks`` the completions that may set
+    the horizon as (base, offset); ``tail`` the offset of the last issue on
+    the last base; ``rows`` (base, offset, class name, mnemonic) per
+    instruction when the run is traced, else None. ``last`` is the class of
+    the last issue and ``counts`` the instructions per class.
+
+    When no entry value binds, every base sits at a static offset from base
+    0, itself the cycle after the entry, and ``static`` holds the same
+    outputs with every base folded into base 0. That holds exactly when the
+    entry value of each key the run waits for is at most the first cycle
+    plus the static offset of the base that waits for it. ``guards`` lists
+    those (keys, offsets) for the first pass of the enclosing loop, and for
+    any later pass, which need not check a key the loop body never writes:
+    the first pass already waited for it.
+    """
+
+    __slots__ = ("head", "points", "last", "counts", "symbolic", "static", "guards")
+
+
+def _compile_run(instructions, kinds: dict, traced: bool, pc: int) -> _Run:
+    """Compile one straight-line run, instruction by instruction, to a _Run;
+    a faulty instruction raises with its pc (the first one's is ``pc``).
+
+    A term known at compile time is folded into an offset: one on the
+    current base, or one on an older base that the static lower bound
+    ``base[j] - base[k] >= chain[j] - chain[k]`` (the offsets the points
+    add up to) shows cannot bind. A new base starts only where a term
+    cannot be resolved so: a key the run has not written yet (a value or,
+    for issue intervals above one, a busy unit), unless an earlier point
+    already waited for it, or a term on an older base that may bind.
+    """
+    written = {}
+    waited = set()
+    head = ()
+    points = []
+    chain = [0]
+    static = [0]
+    waits = []
+    peaks = [0]
+    gaps = [0] * len(CLASSES)
+    counts = [0] * len(CLASSES)
+    rows = [] if traced else None
+    base = 0
+    offset = -1
+    last = None
+    for ins in instructions:
+        fault = _fault(ins)
+        if fault:
+            raise SimulationError(fault, pc=pc)
+        pc += 1
+        kind, reads, writes = _scoreboard(ins)
+        cls, unit, latency, interval = kinds[kind]
+        # the in-order slot, then each read and the unit, as offsets on the
+        # current base where the run itself wrote them
+        prev = offset
+        offset += 1
+        keys = terms = ()
+        if interval > 1:
+            reads += (unit,)
+        for key in reads:
+            term = written.get(key)
+            if term is None:
+                if key not in waited:
+                    waited.add(key)
+                    keys += (key,)
+            elif term[0] == base:
+                if term[1] > offset:
+                    offset = term[1]
+            else:
+                terms += (term,)
+        if terms:
+            bound = chain[base] + offset
+            terms = tuple((k, c) for k, c in terms if chain[k] + c > bound)
+        if last is None:
+            # base 0 is the first issue: its waits are taken on entry
+            head = keys
+            waits.extend((key, 0) for key in keys)
+        elif keys or terms:
+            points.append((offset, keys, terms, last))
+            gaps[last] -= prev
+            chain.append(chain[base] + offset)
+            at = max([static[base] + offset] + [static[k] + c for k, c in terms])
+            static.append(at)
+            waits.extend((key, at) for key in keys)
+            peaks.append(0)
+            base += 1
+            offset = 0
+        else:
+            gaps[last] += offset - prev
+        done = offset + latency
+        term = (base, done)
+        for key in writes:
+            written[key] = term
+        if interval > 1:
+            written[unit] = (base, offset + interval)
+        if done > peaks[base]:
+            peaks[base] = done
+        if traced:
+            rows.append((base, done, CLASSES[cls], ins.mnemonic))
+        counts[cls] += 1
+        last = cls
+    # a completion the static bound shows a later one reaches is dropped
+    kept = []
+    horizon = None
+    for k in range(len(peaks) - 1, -1, -1):
+        reach = chain[k] + peaks[k]
+        if horizon is None or reach > horizon:
+            kept.append((k, peaks[k]))
+            horizon = reach
+    stores = [(key, k, c) for key, (k, c) in written.items()]
+    run = _Run()
+    run.head = head
+    run.points = tuple(points)
+    run.last = last
+    run.counts = tuple(counts)
+    run.symbolic = (tuple((c, n) for c, n in enumerate(gaps) if n), tuple(stores),
+                    tuple(kept), offset, rows)
+    # the same outputs with every base at its static offset from base 0
+    for j, point in enumerate(points, 1):
+        gaps[point[3]] += static[j] - static[j - 1]
+    run.static = (tuple((c, n) for c, n in enumerate(gaps) if n),
+                  tuple((key, 0, static[k] + c) for key, k, c in stores),
+                  ((0, max(static[k] + c for k, c in kept)),), static[base] + offset,
+                  None if rows is None else
+                  [(0, static[k] + c, name, mnemonic) for k, c, name, mnemonic in rows])
+    guard = _guard(waits)
+    run.guards = (guard, guard)
+    return run
+
+
+def _guard(waits) -> tuple:
+    """(keys, offsets) of a run's (key, static offset) waits."""
+    return tuple(key for key, _ in waits), tuple(at for _, at in waits)
+
+
+# parts of a compiled body besides runs: a barrier, a loop
+_BARRIER, _LOOP = range(2)
 
 
 class _Clock:
-    """The timing half: a scoreboard walked over bodies compiled once per
+    """The timing half: a scoreboard advanced over bodies compiled once per
     timing table.
 
-    A compiled body is a tuple of parts: (_OPS, ops, class counts) for a
-    straight-line run, where each op is (class index, kind index, latency,
-    issue interval, keys read, keys written, mnemonic); (_BARRIER, None,
-    None); and (_LOOP, count, body) for a Repeat. Scoreboard and unit
-    state are lists indexed by key and kind.
+    A compiled body is a tuple of parts: a _Run (the critical-point
+    schedule of a straight-line run), (_BARRIER, None, None), and (_LOOP,
+    count, body) for a Repeat. ``ready`` holds, per scoreboard key, the
+    cycle its value is ready or its unit is free again. One kernel,
+    ``_issue``, advances the state over a run; the extrapolating and the
+    walking run both go through it, and it is the only writer of the trace.
     """
 
     def __init__(self, timing: TimingModel, trace, walk: bool):
-        self.latency = timing.latency
-        self.interval = timing.issue_interval
+        # per kind: class index, unit key, latency, issue interval
+        self.kinds = {kind: (_CLASS_INDEX[kind], _UNIT_KEY + _KIND_INDEX[kind],
+                             timing.latency[kind], timing.issue_interval[kind])
+                      for kind in INSTRUCTION_KINDS}
         self.trace = trace
         self.run_loop = self._walk_loop if walk else self._extrapolate_loop
         self.ready = [0] * _SCOREBOARD_KEYS
-        self.unit_free = [0] * len(INSTRUCTION_KINDS)
         # the extra slot takes the (meaningless) gap before the first issue
         self.cycles = [0] * (len(CLASSES) + 1)
         self.counts = [0] * len(CLASSES)
@@ -381,47 +537,49 @@ class _Clock:
         self.t_max = 0
 
     def compile(self, nodes, pc: int = 0) -> tuple:
-        """(compiled body, instructions one pass runs); the first faulty
-        instruction raises with the pc it would execute at."""
+        """(compiled body, instructions one pass runs, keys one pass
+        writes); the first faulty instruction raises with the pc it would
+        execute at."""
         parts = []
-        ops = []
+        written = set()
+        traced = self.trace is not None
         start = pc
-
-        def close_run():
-            if ops:
-                counts = [0] * len(CLASSES)
-                for op in ops:
-                    counts[op[0]] += 1
-                parts.append((_OPS, tuple(ops), counts))
-                ops.clear()
-
-        for node in nodes:
+        first = None
+        for i, node in enumerate(nodes):
             cls = node.__class__
-            if cls is Repeat:
-                if node.count:
-                    close_run()
-                    body, length = self.compile(node.body, pc)
-                    parts.append((_LOOP, node.count, body))
-                    pc += node.count * length
-            elif cls is Barrier:
-                close_run()
+            if cls is not Repeat and cls is not Barrier:
+                if first is None:
+                    first = i
+                continue
+            if first is not None:
+                parts.append(_compile_run(nodes[first:i], self.kinds, traced, pc))
+                pc += i - first
+                first = None
+            if cls is Barrier:
                 parts.append((_BARRIER, None, None))
-            else:
-                fault = _fault(node)
-                if fault:
-                    raise SimulationError(fault, pc=pc)
-                kind, reads, writes = _scoreboard(node)
-                ops.append((_CLASS_INDEX[kind], _KIND_INDEX[kind], self.latency[kind],
-                            self.interval[kind], reads, writes, node.mnemonic))
-                pc += 1
-        close_run()
-        return tuple(parts), pc - start
+            elif node.count:
+                body, length, inner = self.compile(node.body, pc)
+                parts.append((_LOOP, node.count, body))
+                written |= inner
+                pc += node.count * length
+        if first is not None:
+            parts.append(_compile_run(nodes[first:], self.kinds, traced, pc))
+            pc += len(nodes) - first
+        runs = [part for part in parts if part.__class__ is _Run]
+        for run in runs:
+            written.update(key for key, _, _ in run.symbolic[1])
+        for run in runs:
+            cold = run.guards[0]
+            run.guards = (cold, _guard([wait for wait in zip(*cold) if wait[0] in written]))
+        return tuple(parts), pc - start, written
 
-    def run(self, body) -> None:
-        for part, a, b in body:
-            if part == _OPS:
-                self._run_ops(a, b)
-            elif part == _BARRIER:
+    def run(self, body, warm: bool = False) -> None:
+        """Advance over a compiled body; ``warm`` when an earlier pass of
+        the same loop ran just before."""
+        for part in body:
+            if part.__class__ is _Run:
+                self._issue(part, warm)
+            elif part[0] == _BARRIER:
                 # close the drain gap on the preceding instruction's class
                 # and move the issue horizon past every outstanding result
                 drained = self.t_max - 1
@@ -429,43 +587,64 @@ class _Clock:
                     self.cycles[self.pending] += drained - self.t_last
                     self.t_last = drained
             else:
-                self.run_loop(a, b)
+                self.run_loop(part[1], part[2])
 
-    def _run_ops(self, ops, counts) -> None:
-        """Issue a straight-line run: each op at the earliest cycle after
-        the previous issue at which its unit is free and its reads ready."""
-        ready, unit_free, cycles, trace = self.ready, self.unit_free, self.cycles, self.trace
-        t_last, t_max, pending = self.t_last, self.t_max, self.pending
-        for cls, unit, latency, interval, reads, writes, mnemonic in ops:
-            t = t_last + 1
-            if unit_free[unit] > t:
-                t = unit_free[unit]
-            for key in reads:
+    def _issue(self, run: _Run, warm: bool) -> None:
+        """Issue a straight-line run: each instruction at the earliest cycle
+        after the previous issue at which its unit is free and its reads
+        ready, evaluated at the run's critical points only, and not even
+        there when no entry value binds."""
+        ready, cycles = self.ready, self.cycles
+        t = self.t_last + 1
+        waits, slack = run.guards[warm]
+        if waits and max(map(sub, map(ready.__getitem__, waits), slack)) > t:
+            for key in run.head:
                 if ready[key] > t:
                     t = ready[key]
-            cycles[pending] += t - t_last
-            done = t + latency
-            for key in writes:
-                ready[key] = done
-            if done > t_max:
-                t_max = done
-            if interval > 1:
-                unit_free[unit] = t + interval
-            pending = cls
-            t_last = t
-            if trace is not None:
-                trace.append((done, CLASSES[cls], mnemonic))
-        self.t_last, self.t_max, self.pending = t_last, t_max, pending
-        total = self.counts
-        for c, n in enumerate(counts):
-            total[c] += n
+            cycles[self.pending] += t - self.t_last
+            bases = [t]
+            for offset, keys, terms, cls in run.points:
+                at = t + offset
+                for key in keys:
+                    if ready[key] > at:
+                        at = ready[key]
+                for k, c in terms:
+                    c += bases[k]
+                    if c > at:
+                        at = c
+                cycles[cls] += at - t
+                bases.append(at)
+                t = at
+            gaps, stores, peaks, tail, rows = run.symbolic
+        else:
+            # nothing from before the run binds: every base at its static offset
+            cycles[self.pending] += 1
+            bases = [t]
+            gaps, stores, peaks, tail, rows = run.static
+        for cls, n in gaps:
+            cycles[cls] += n
+        for key, k, c in stores:
+            ready[key] = bases[k] + c
+        t_max = self.t_max
+        for k, c in peaks:
+            c += bases[k]
+            if c > t_max:
+                t_max = c
+        self.t_max = t_max
+        self.t_last = bases[-1] + tail
+        self.pending = run.last
+        counts = self.counts
+        for cls, n in enumerate(run.counts):
+            counts[cls] += n
+        if rows is not None:
+            self.trace.extend([(bases[k] + c, name, mnemonic) for k, c, name, mnemonic in rows])
 
     def finish(self) -> None:
         self.cycles[self.pending] += self.t_max - self.t_last
 
     def _walk_loop(self, count: int, body) -> None:
-        for _ in range(count):
-            self.run(body)
+        for done in range(count):
+            self.run(body, done > 0)
 
     def _extrapolate_loop(self, count: int, body) -> None:
         """Run iterations until two consecutive ones leave the scoreboard in
@@ -474,18 +653,17 @@ class _Clock:
         previous = None
         for done in range(1, count + 1):
             t0, cycles0, counts0 = self.t_last, self.cycles[:len(CLASSES)], self.counts[:]
-            self.run(body)
+            self.run(body, done > 1)
             if done == count:
                 return
             t = self.t_last
-            state = (tuple((k, v - t) for k, v in enumerate(self.ready) if v > t),
-                     tuple((k, v - t) for k, v in enumerate(self.unit_free) if v > t),
+            state = ([(k, v - t) for k, v in enumerate(self.ready) if v > t],
                      self.t_max - t, self.pending,
                      t - t0,
                      tuple(c - c0 for c, c0 in zip(self.cycles, cycles0)),
                      tuple(n - n0 for n, n0 in zip(self.counts, counts0)))
             if state == previous:
-                self._shift(count - done, state[4:])
+                self._shift(count - done, state[3:])
                 return
             previous = state
 
@@ -495,7 +673,6 @@ class _Clock:
         self.t_last += shift
         self.t_max += shift
         self.ready[:] = [v + shift for v in self.ready]
-        self.unit_free[:] = [v + shift for v in self.unit_free]
         for c, dc in enumerate(dcycles):
             self.cycles[c] += remaining * dc
         for c, dn in enumerate(dcounts):

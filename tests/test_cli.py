@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from dimcsim import cli
+import dimcsim
+from dimcsim import cli, metrics
 
 # sha256 of the default-table reports, as pinned in ROADMAP.md
 REPORT_SHA256 = {
@@ -69,13 +70,24 @@ def test_simulate_trace_writes_csv(tmp_path):
 
 def test_simulate_json_format_echoes_configuration(tmp_path):
     wl = write_workload(tmp_path / "wl.json", [UNIT_LAYER])
-    out = tmp_path / "report.json"
-    assert cli.main(["simulate", wl, "--format", "json", "--area-ratio", "0.5",
-                     "-o", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["area_ratio"] == 0.5
-    assert doc["layers"][0]["area_ratio"] == 0.5
-    assert doc["ineligible"] == []
+    table = tmp_path / "timing.json"
+    table.write_text(json.dumps({"issue_interval": {"dc.p": 4}}))
+    docs = []
+    for extra in ([], ["--timing", str(table)]):
+        out = tmp_path / "report.json"
+        assert cli.main(["simulate", wl, "--format", "json", "--area-ratio", "0.5",
+                         "-o", str(out)] + extra) == 0
+        docs.append(json.loads(out.read_text()))
+    default, custom = docs
+    assert default["area_ratio"] == 0.5
+    assert default["layers"][0]["area_ratio"] == 0.5
+    assert default["ineligible"] == []
+    assert default["dimcsim_version"] == dimcsim.__version__
+    assert default["report_schema"] == metrics.REPORT_SCHEMA
+    assert default["issue_interval"]["dc.p"] == 1
+    assert custom["issue_interval"] == dict(default["issue_interval"], **{"dc.p": 4})
+    # the interval is the only header field that tells the two reports apart
+    assert [k for k in default if default[k] != custom[k] and k != "layers"] == ["issue_interval"]
 
 
 def test_simulate_missing_file_is_input_error(tmp_path, capsys):

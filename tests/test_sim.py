@@ -2,10 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimcsim.isa import DcF, DcP, DlI, DlM
-from dimcsim.sim import (NUM_VREGS, Barrier, Program, Repeat, SimulationError,
-                         TimingModel, VClear, VLoad, VStore, _Machine, class_of,
+from dimcsim.sim import (CLASSES, INSTRUCTION_KINDS, NUM_VREGS, Barrier, Program, Repeat,
+                         SimulationError, TimingModel, VClear, VLoad, VStore, _Machine,
                          execute)
 from dimcsim.tile import DimcTile, PrecisionMode, QuantConfig
 
@@ -56,16 +58,24 @@ def test_load_to_dli_stall_is_memory_latency():
     assert out.cycles_by_class == {"computing": 0, "loading": 9, "storing": 0}
 
 
-def test_class_of():
-    assert class_of(DcF(vs1=0, vd=0, sh=0, dh=0, m_row=0, bidx=0)) == "computing"
-    assert class_of(DcP(vs1=0, vd=0, sh=0, dh=0, m_row=0)) == "computing"
-    assert class_of(DlM(vs1=0, nvec=1, sec=0, mask=0, m_row=0)) == "loading"
-    assert class_of(DlI(vs1=0, nvec=1, sec=0, mask=0)) == "loading"
-    assert class_of(VLoad(vd=0, addr=0)) == "loading"
-    assert class_of(VStore(vs1=0, addr=0)) == "storing"
-    assert class_of(VClear(vd=0)) == "computing"
-    with pytest.raises(ValueError):
-        class_of("nonsense")
+@pytest.mark.parametrize("ins, cls", [
+    (DcF(vs1=0, vd=0, sh=0, dh=0, m_row=0, bidx=0), "computing"),
+    (DcP(vs1=0, vd=0, sh=0, dh=0, m_row=0), "computing"),
+    (DlM(vs1=0, nvec=1, sec=0, mask=0, m_row=0), "loading"),
+    (DlI(vs1=0, nvec=1, sec=0, mask=0), "loading"),
+    (VLoad(vd=0, addr=0), "loading"),
+    (VStore(vs1=0, addr=0), "storing"),
+    (VClear(vd=0), "computing"),
+], ids=lambda value: getattr(value, "mnemonic", value))
+def test_instruction_counts_under_its_class(ins, cls):
+    out = execute(prog([ins]))
+    assert out.counts_by_class == {c: int(c == cls) for c in CLASSES}
+    assert out.cycles_by_class[cls] == out.total_cycles
+
+
+def test_non_instruction_is_rejected():
+    with pytest.raises(SimulationError, match="cannot execute"):
+        execute(prog(["nonsense"]))
 
 
 def test_class_cycles_sum_to_total():
@@ -384,3 +394,102 @@ def test_program_quant_controls_dcf():
     out = execute(prog(body, quant=QuantConfig(right_shift=3, out_bits=4)),
                   memory=bytearray(mem))
     assert reg(out, 2, half=0) == 7
+
+
+# -- a per-instruction reference scheduler, written from the timing contract
+# in the sim module docstring, against the compiled one
+
+_KIND_CLASS = {"vload": "loading", "dl.i": "loading", "dl.m": "loading", "vstore": "storing",
+               "varith": "computing", "dc.p": "computing", "dc.f": "computing"}
+
+
+def _unrolled(nodes):
+    for node in nodes:
+        if isinstance(node, Repeat):
+            for _ in range(node.count):
+                yield from _unrolled(node.body)
+        else:
+            yield node
+
+
+def _operands(ins):
+    """(values read, values written): register halves, input-buffer sectors
+    and weight-row sectors."""
+    def halves(r, n=1):
+        return [("v", q, h) for q in range(r, r + n) for h in (0, 1)]
+    if ins.kind in ("vload", "varith"):
+        return [], halves(ins.vd)
+    if ins.kind == "vstore":
+        return halves(ins.vs1), []
+    if ins.kind in ("dl.i", "dl.m"):
+        target = ("in", ins.sec) if ins.kind == "dl.i" else ("row", ins.m_row, ins.sec)
+        return halves(ins.vs1, ins.nvec), [target]
+    sectors = [("in", s) for s in range(4)] + [("row", ins.m_row, s) for s in range(4)]
+    return [("v", ins.vs1, ins.sh)] + sectors, [("v", ins.vd, ins.dh)]
+
+
+def reference_schedule(nodes, timing):
+    """Each instruction at the earliest cycle after the previous issue (and
+    after every result before a barrier) at which its unit is free and its
+    reads are ready; each gap is booked on the earlier instruction's class."""
+    ready, free, trace = {}, {}, []
+    cycles, counts = dict.fromkeys(CLASSES, 0), dict.fromkeys(CLASSES, 0)
+    last, t_last, t_max, drained = None, -1, 0, 0
+    for ins in _unrolled(nodes):
+        if isinstance(ins, Barrier):
+            drained = t_max
+            continue
+        reads, writes = _operands(ins)
+        t = max([t_last + 1, drained, free.get(ins.kind, 0)] + [ready.get(k, 0) for k in reads])
+        done = t + timing.latency[ins.kind]
+        ready.update(dict.fromkeys(writes, done))
+        free[ins.kind] = t + timing.issue_interval[ins.kind]
+        if last:
+            cycles[last] += t - t_last
+        last, t_last, t_max = _KIND_CLASS[ins.kind], t, max(t_max, done)
+        counts[last] += 1
+        trace.append((done, last, ins.mnemonic))
+    if last:
+        cycles[last] += t_max - t_last
+    return t_max, cycles, counts, trace
+
+
+_regs = st.integers(0, 7)
+_bits = st.integers(0, 1)
+_rows = st.integers(0, 3)
+_instructions = st.one_of(
+    st.builds(VLoad, vd=_regs, addr=st.just(0), region=st.integers(0, 2)),
+    st.builds(VStore, vs1=_regs, addr=st.just(0), region=st.integers(0, 2)),
+    st.builds(VClear, vd=_regs),
+    st.builds(DlI, vs1=_regs, nvec=st.integers(1, 4), sec=st.integers(0, 3),
+              mask=st.integers(0, 15)),
+    st.builds(DlM, vs1=_regs, nvec=st.integers(1, 4), sec=st.integers(0, 3),
+              mask=st.integers(0, 15), m_row=_rows),
+    st.builds(DcP, vs1=_regs, vd=_regs, sh=_bits, dh=_bits, m_row=_rows),
+    st.builds(DcF, vs1=_regs, vd=_regs, sh=_bits, dh=_bits, m_row=_rows,
+              bidx=st.integers(0, 3)),
+    st.just(Barrier()))
+_loop = st.builds(Repeat, count=st.integers(0, 9),
+                  body=st.lists(_instructions, min_size=1, max_size=6))
+_nodes = st.one_of(_instructions, _loop, st.builds(
+    Repeat, count=st.integers(0, 6),
+    body=st.lists(st.one_of(_instructions, _loop), min_size=1, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(body=st.lists(_nodes, max_size=8),
+       timing=st.builds(
+           TimingModel, memory_latency=st.integers(1, 16),
+           latency=st.dictionaries(st.sampled_from(INSTRUCTION_KINDS), st.integers(1, 16)),
+           issue_interval=st.dictionaries(st.sampled_from(INSTRUCTION_KINDS),
+                                          st.integers(1, 4))))
+def test_schedule_matches_reference_scheduler(body, timing):
+    total, cycles, counts, trace = reference_schedule(body, timing)
+    walked_trace = []
+    walked = execute(prog(body), timing, trace=walked_trace)
+    extrapolated = execute(prog(body), timing)
+    for out in (walked, extrapolated):
+        assert out.total_cycles == total
+        assert out.cycles_by_class == cycles
+        assert out.counts_by_class == counts
+    assert walked_trace == trace
