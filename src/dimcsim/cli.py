@@ -283,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also run each layer functionally against the "
                             "convolution reference and check its cycles walked over "
                             "every iteration against the extrapolated ones (data runs "
-                            "batched; the timing walk costs per straight-line run and stall)")
+                            "batched; a timing run that a value from before it delays "
+                            "issues per instruction)")
     sim_p.add_argument("--trace", metavar="DIR",
                        help="write per-layer event traces (implies full execution)")
     sim_p.add_argument("--format", choices=("csv", "json"), default="csv")

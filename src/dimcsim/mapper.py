@@ -144,14 +144,6 @@ class MappingPlan:
     kernels_per_group: int
     group_count: int
 
-    @property
-    def tiled(self) -> bool:
-        return self.tiling_factor > 1
-
-    @property
-    def grouped(self) -> bool:
-        return self.group_count > 1
-
 
 def plan_mapping(layer: LayerDescriptor) -> MappingPlan:
     """Compute tiling factor, kernels per group and group count for a layer."""

@@ -56,25 +56,20 @@ A ``Repeat`` node stands for iterations of a fixed instruction block that
 differ only in memory addresses: each ``VLoad``/``VStore`` names an address
 region, which each ``Repeat`` advances by its own stride per iteration.
 
-The timing half compiles each body once per timing table, and each
-straight-line run in it to a schedule of critical points: every issue
-time is a base plus a constant offset, and a new base starts only where
-the run waits for something it cannot resolve at compile time: a value or
-a busy unit left by code before the run, or a stall on an older base that
-the static lower bound between bases does not rule out. Advancing the
-scoreboard over a run evaluates those points only, books each class's
-cycles as a sum of base differences plus a constant, and stores the last
-write of each key. When none of the values the run waits for binds, which
-one check over their keys decides, the bases sit at their static offsets
-and no point is evaluated; in a loop's later iterations, keys the body
-never writes are not even checked. A run without memory image or trace is
+The timing half compiles each body once per timing table, and schedules
+each straight-line run in it once, as if nothing left by code before the
+run delayed it: every issue, completion and class gap becomes an offset
+from the run's first issue. A run then costs one check that the values and
+units it waits for from before it are ready by the offsets that first wait
+for them (a loop's later passes skip keys the body never writes), and the
+schedule applied at the cycle after the last issue; when the check fails,
+its instructions issue one by one. A run without memory image or trace is
 timing-only: iterations are run until two consecutive ones leave the
 scoreboard in the same relative state and advance time by the same
 amount, and the remaining ones are applied as a closed-form shift. A run
 with a memory image or a trace walks every iteration through the same
-compiled runs, at a cost per stall and per key rather than per
-instruction. Addresses never influence timing, so both give equal cycles,
-and ``--verify`` checks that they do.
+compiled runs. Addresses never influence timing, so both give equal
+cycles, and ``--verify`` checks that they do.
 
 The data half runs a Repeat as one batch when a static pass over its body
 (``_Body``) shows that no iteration reads state another one writes: every
@@ -358,62 +353,36 @@ def _scoreboard(ins) -> tuple:
 
 
 class _Run:
-    """A straight-line run compiled to its critical points.
+    """A straight-line run scheduled once, from a first issue that no entry
+    value delays, with every output an offset from that issue: ``gaps``
+    each class's cycles as (class, cycles), ``stores`` each key's last
+    write as (key, offset), ``peak`` the latest completion, ``tail`` the
+    last issue, ``rows`` (completion, class name, mnemonic) per instruction
+    when traced, else None; ``last`` is the class of the last issue and
+    ``counts`` the instructions per class.
 
-    Every issue time of the run is ``base[j] + offset``. Base 0 is the first
-    issue, the latest of the cycle after the run's entry and the entry
-    values of the ``head`` keys. Each later base is a critical point
-    (offset, keys, terms, class): the latest of the previous base plus
-    ``offset``, the entry values of ``keys``, and ``base[k] + c`` for each
-    (k, c) in ``terms``; the gap up to it is booked on ``class``.
-
-    ``symbolic`` holds what the run leaves behind, in terms of the bases:
-    (gaps, stores, peaks, tail, rows). ``gaps`` is the constant rest of
-    each class's cycles as (class, cycles); ``stores`` each key's last
-    write as (key, base, offset); ``peaks`` the completions that may set
-    the horizon as (base, offset); ``tail`` the offset of the last issue on
-    the last base; ``rows`` (base, offset, class name, mnemonic) per
-    instruction when the run is traced, else None. ``last`` is the class of
-    the last issue and ``counts`` the instructions per class.
-
-    When no entry value binds, every base sits at a static offset from base
-    0, itself the cycle after the entry, and ``static`` holds the same
-    outputs with every base folded into base 0. That holds exactly when the
-    entry value of each key the run waits for is at most the first cycle
-    plus the static offset of the base that waits for it. ``guards`` lists
-    those (keys, offsets) for the first pass of the enclosing loop, and for
-    any later pass, which need not check a key the loop body never writes:
-    the first pass already waited for it.
+    The schedule holds exactly when the entry value of each key the run
+    reads before writing is ready by the offset of its first reader.
+    ``guards`` lists those (keys, offsets) for the first pass of the
+    enclosing loop, and for any later pass, which need not check a key the
+    loop body never writes: the first pass already waited for it.
     """
 
-    __slots__ = ("head", "points", "last", "counts", "symbolic", "static", "guards")
+    __slots__ = ("instructions", "gaps", "stores", "peak", "tail", "rows", "last", "counts",
+                 "guards")
 
 
 def _compile_run(instructions, kinds: dict, traced: bool, pc: int) -> _Run:
-    """Compile one straight-line run, instruction by instruction, to a _Run;
-    a faulty instruction raises with its pc (the first one's is ``pc``).
-
-    A term known at compile time is folded into an offset: one on the
-    current base, or one on an older base that the static lower bound
-    ``base[j] - base[k] >= chain[j] - chain[k]`` (the offsets the points
-    add up to) shows cannot bind. A new base starts only where a term
-    cannot be resolved so: a key the run has not written yet (a value or,
-    for issue intervals above one, a busy unit), unless an earlier point
-    already waited for it, or a term on an older base that may bind.
-    """
+    """Schedule one straight-line run, instruction by instruction, to a
+    _Run; a faulty instruction raises with its pc (the first one's is
+    ``pc``)."""
     written = {}
-    waited = set()
-    head = ()
-    points = []
-    chain = [0]
-    static = [0]
-    waits = []
-    peaks = [0]
+    waits = {}
     gaps = [0] * len(CLASSES)
     counts = [0] * len(CLASSES)
     rows = [] if traced else None
-    base = 0
     offset = -1
+    peak = 0
     last = None
     for ins in instructions:
         fault = _fault(ins)
@@ -422,87 +391,44 @@ def _compile_run(instructions, kinds: dict, traced: bool, pc: int) -> _Run:
         pc += 1
         kind, reads, writes = _scoreboard(ins)
         cls, unit, latency, interval = kinds[kind]
-        # the in-order slot, then each read and the unit, as offsets on the
-        # current base where the run itself wrote them
-        prev = offset
-        offset += 1
-        keys = terms = ()
+        at = offset + 1
         if interval > 1:
             reads += (unit,)
+        entry = []
         for key in reads:
-            term = written.get(key)
-            if term is None:
-                if key not in waited:
-                    waited.add(key)
-                    keys += (key,)
-            elif term[0] == base:
-                if term[1] > offset:
-                    offset = term[1]
-            else:
-                terms += (term,)
-        if terms:
-            bound = chain[base] + offset
-            terms = tuple((k, c) for k, c in terms if chain[k] + c > bound)
-        if last is None:
-            # base 0 is the first issue: its waits are taken on entry
-            head = keys
-            waits.extend((key, 0) for key in keys)
-        elif keys or terms:
-            points.append((offset, keys, terms, last))
-            gaps[last] -= prev
-            chain.append(chain[base] + offset)
-            at = max([static[base] + offset] + [static[k] + c for k, c in terms])
-            static.append(at)
-            waits.extend((key, at) for key in keys)
-            peaks.append(0)
-            base += 1
-            offset = 0
-        else:
-            gaps[last] += offset - prev
-        done = offset + latency
-        term = (base, done)
+            done = written.get(key)
+            if done is None:
+                entry.append(key)
+            elif done > at:
+                at = done
+        for key in entry:
+            waits.setdefault(key, at)
+        if last is not None:
+            gaps[last] += at - offset
+        offset = at
+        done = at + latency
         for key in writes:
-            written[key] = term
+            written[key] = done
         if interval > 1:
-            written[unit] = (base, offset + interval)
-        if done > peaks[base]:
-            peaks[base] = done
+            written[unit] = at + interval
+        if done > peak:
+            peak = done
         if traced:
-            rows.append((base, done, CLASSES[cls], ins.mnemonic))
+            rows.append((done, CLASSES[cls], ins.mnemonic))
         counts[cls] += 1
         last = cls
-    # a completion the static bound shows a later one reaches is dropped
-    kept = []
-    horizon = None
-    for k in range(len(peaks) - 1, -1, -1):
-        reach = chain[k] + peaks[k]
-        if horizon is None or reach > horizon:
-            kept.append((k, peaks[k]))
-            horizon = reach
-    stores = [(key, k, c) for key, (k, c) in written.items()]
     run = _Run()
-    run.head = head
-    run.points = tuple(points)
+    run.instructions = instructions
+    run.gaps = tuple((c, n) for c, n in enumerate(gaps) if n)
+    run.stores = tuple(written.items())
+    run.peak = peak
+    run.tail = offset
+    run.rows = rows
     run.last = last
     run.counts = tuple(counts)
-    run.symbolic = (tuple((c, n) for c, n in enumerate(gaps) if n), tuple(stores),
-                    tuple(kept), offset, rows)
-    # the same outputs with every base at its static offset from base 0
-    for j, point in enumerate(points, 1):
-        gaps[point[3]] += static[j] - static[j - 1]
-    run.static = (tuple((c, n) for c, n in enumerate(gaps) if n),
-                  tuple((key, 0, static[k] + c) for key, k, c in stores),
-                  ((0, max(static[k] + c for k, c in kept)),), static[base] + offset,
-                  None if rows is None else
-                  [(0, static[k] + c, name, mnemonic) for k, c, name, mnemonic in rows])
-    guard = _guard(waits)
-    run.guards = (guard, guard)
+    # the compiled body turns these into the cold and warm guards
+    run.guards = waits
     return run
-
-
-def _guard(waits) -> tuple:
-    """(keys, offsets) of a run's (key, static offset) waits."""
-    return tuple(key for key, _ in waits), tuple(at for _, at in waits)
 
 
 # parts of a compiled body besides runs: a barrier, a loop
@@ -513,12 +439,12 @@ class _Clock:
     """The timing half: a scoreboard advanced over bodies compiled once per
     timing table.
 
-    A compiled body is a tuple of parts: a _Run (the critical-point
-    schedule of a straight-line run), (_BARRIER, None, None), and (_LOOP,
-    count, body) for a Repeat. ``ready`` holds, per scoreboard key, the
-    cycle its value is ready or its unit is free again. One kernel,
-    ``_issue``, advances the state over a run; the extrapolating and the
-    walking run both go through it, and it is the only writer of the trace.
+    A compiled body is a tuple of parts: a _Run (the schedule of a
+    straight-line run), (_BARRIER, None, None), and (_LOOP, count, body)
+    for a Repeat. ``ready`` holds, per scoreboard key, the cycle its value
+    is ready or its unit is free again. One kernel, ``_issue``, advances the
+    state over a run; the extrapolating and the walking run both go through
+    it, and it is the only writer of the trace.
     """
 
     def __init__(self, timing: TimingModel, trace, walk: bool):
@@ -567,10 +493,11 @@ class _Clock:
             pc += len(nodes) - first
         runs = [part for part in parts if part.__class__ is _Run]
         for run in runs:
-            written.update(key for key, _, _ in run.symbolic[1])
+            written.update(key for key, _ in run.stores)
         for run in runs:
-            cold = run.guards[0]
-            run.guards = (cold, _guard([wait for wait in zip(*cold) if wait[0] in written]))
+            waits = run.guards
+            warm = {key: at for key, at in waits.items() if key in written}
+            run.guards = tuple((tuple(w), tuple(w.values())) for w in (waits, warm))
         return tuple(parts), pc - start, written
 
     def run(self, body, warm: bool = False) -> None:
@@ -590,54 +517,53 @@ class _Clock:
                 self.run_loop(part[1], part[2])
 
     def _issue(self, run: _Run, warm: bool) -> None:
-        """Issue a straight-line run: each instruction at the earliest cycle
-        after the previous issue at which its unit is free and its reads
-        ready, evaluated at the run's critical points only, and not even
-        there when no entry value binds."""
-        ready, cycles = self.ready, self.cycles
+        """Issue a straight-line run: its compiled schedule, shifted to the
+        cycle after the last issue, when the guard shows that no entry value
+        binds, else its instructions one by one."""
+        ready, cycles, counts = self.ready, self.cycles, self.counts
         t = self.t_last + 1
-        waits, slack = run.guards[warm]
-        if waits and max(map(sub, map(ready.__getitem__, waits), slack)) > t:
-            for key in run.head:
-                if ready[key] > t:
-                    t = ready[key]
-            cycles[self.pending] += t - self.t_last
-            bases = [t]
-            for offset, keys, terms, cls in run.points:
-                at = t + offset
-                for key in keys:
-                    if ready[key] > at:
-                        at = ready[key]
-                for k, c in terms:
-                    c += bases[k]
-                    if c > at:
-                        at = c
-                cycles[cls] += at - t
-                bases.append(at)
-                t = at
-            gaps, stores, peaks, tail, rows = run.symbolic
+        keys, offsets = run.guards[warm]
+        if keys and max(map(sub, map(ready.__getitem__, keys), offsets)) > t:
+            self._issue_each(run.instructions)
         else:
-            # nothing from before the run binds: every base at its static offset
             cycles[self.pending] += 1
-            bases = [t]
-            gaps, stores, peaks, tail, rows = run.static
-        for cls, n in gaps:
-            cycles[cls] += n
-        for key, k, c in stores:
-            ready[key] = bases[k] + c
-        t_max = self.t_max
-        for k, c in peaks:
-            c += bases[k]
-            if c > t_max:
-                t_max = c
-        self.t_max = t_max
-        self.t_last = bases[-1] + tail
-        self.pending = run.last
-        counts = self.counts
+            for cls, n in run.gaps:
+                cycles[cls] += n
+            for key, c in run.stores:
+                ready[key] = t + c
+            self.t_max = max(self.t_max, t + run.peak)
+            self.t_last = t + run.tail
+            self.pending = run.last
+            if run.rows is not None:
+                self.trace.extend([(t + c, name, mnemonic) for c, name, mnemonic in run.rows])
         for cls, n in enumerate(run.counts):
             counts[cls] += n
-        if rows is not None:
-            self.trace.extend([(bases[k] + c, name, mnemonic) for k, c, name, mnemonic in rows])
+
+    def _issue_each(self, instructions) -> None:
+        """Issue instructions one by one under the timing contract."""
+        ready, cycles, kinds, trace = self.ready, self.cycles, self.kinds, self.trace
+        t_last, t_max, pending = self.t_last, self.t_max, self.pending
+        for ins in instructions:
+            kind, reads, writes = _scoreboard(ins)
+            cls, unit, latency, interval = kinds[kind]
+            t = t_last + 1
+            if interval > 1:
+                reads += (unit,)
+            for key in reads:
+                if ready[key] > t:
+                    t = ready[key]
+            if interval > 1:
+                ready[unit] = t + interval
+            cycles[pending] += t - t_last
+            done = t + latency
+            for key in writes:
+                ready[key] = done
+            if done > t_max:
+                t_max = done
+            if trace is not None:
+                trace.append((done, CLASSES[cls], ins.mnemonic))
+            t_last, pending = t, cls
+        self.t_last, self.t_max, self.pending = t_last, t_max, pending
 
     def finish(self) -> None:
         self.cycles[self.pending] += self.t_max - self.t_last

@@ -13,6 +13,17 @@ REPORT_SHA256 = {
     "grouping": "8cff1b05eed9a859cffd253761816c71c48c27a37629ccbc366ff6cd38214493",
 }
 
+# under this table many straight-line runs wait for a dc.p or dc.f unit left
+# busy before them, so their instructions issue one by one: sha256 of the
+# resnet50 report and of the --trace CSV of UNTILED_LAYER
+BINDING_TABLE = {"issue_interval": {"dc.p": 40, "dc.f": 40}}
+BINDING_SHA256 = {
+    "resnet50": "1730d728c3f49545983740ec28156eb62c6d5c857ec57e99499ca230a8b105d5",
+    "untiled": "cb99491848e604d2d4802acc5211b0b3defcd91f1cd6272cd6a9bdc0d862f0d1",
+}
+UNTILED_LAYER = {"name": "untiled", "kind": "conv", "ich": 16, "och": 40, "h": 6, "w": 6,
+                 "kh": 3, "kw": 3, "padding": 1}
+
 
 def write_workload(path, layers, network="testnet", default_bits=4):
     doc = {"network": network,
@@ -269,3 +280,18 @@ def test_default_reports_match_pinned_sha256(tmp_path, argv):
     out = tmp_path / "report.csv"
     assert cli.main([*argv, "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[argv[1]]
+
+
+def test_binding_table_reports_match_pinned_sha256(tmp_path):
+    table = tmp_path / "timing.json"
+    table.write_text(json.dumps(BINDING_TABLE))
+    out = tmp_path / "report.csv"
+    assert cli.main(["simulate", "resnet50", "--timing", str(table), "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BINDING_SHA256["resnet50"]
+    wl = tmp_path / "small.json"
+    wl.write_text(json.dumps({"network": "small", "layers": [UNTILED_LAYER]}))
+    tdir = tmp_path / "traces"
+    assert cli.main(["simulate", str(wl), "--timing", str(table), "-o", str(tmp_path / "r.csv"),
+                     "--trace", str(tdir)]) == 0
+    trace = (tdir / "untiled.csv").read_bytes()
+    assert hashlib.sha256(trace).hexdigest() == BINDING_SHA256["untiled"]

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from dimcsim.isa import DcF, DcP, DlI, DlM
 from dimcsim.sim import (CLASSES, INSTRUCTION_KINDS, NUM_VREGS, Barrier, Program, Repeat,
-                         SimulationError, TimingModel, VClear, VLoad, VStore, _Machine,
-                         execute)
+                         SimulationError, TimingModel, VClear, VLoad, VStore, _Clock,
+                         _Machine, execute)
 from dimcsim.tile import DimcTile, PrecisionMode, QuantConfig
 
 
@@ -481,8 +481,9 @@ _nodes = st.one_of(_instructions, _loop, st.builds(
        timing=st.builds(
            TimingModel, memory_latency=st.integers(1, 16),
            latency=st.dictionaries(st.sampled_from(INSTRUCTION_KINDS), st.integers(1, 16)),
-           issue_interval=st.dictionaries(st.sampled_from(INSTRUCTION_KINDS),
-                                          st.integers(1, 4))))
+           issue_interval=st.dictionaries(
+               st.sampled_from(INSTRUCTION_KINDS),
+               st.one_of(st.integers(1, 4), st.integers(5, 64)))))
 def test_schedule_matches_reference_scheduler(body, timing):
     total, cycles, counts, trace = reference_schedule(body, timing)
     walked_trace = []
@@ -493,3 +494,31 @@ def test_schedule_matches_reference_scheduler(body, timing):
         assert out.cycles_by_class == cycles
         assert out.counts_by_class == counts
     assert walked_trace == trace
+
+
+@pytest.mark.parametrize("interval", [7, 40])
+def test_run_whose_entry_wait_binds_matches_reference_scheduler(monkeypatch, interval):
+    # every pass's dc.f waits for the dc.f unit the previous pass left busy,
+    # by one cycle at interval 7 and by 34 at 40, so the passes after the
+    # first issue their instructions one by one. dc.f issues at 2, then
+    # every interval cycles; the last vstore issues 4 later, completes 8 later
+    timing = TimingModel(issue_interval={"dc.f": interval})
+    body = [VClear(2), Repeat(6, (DlI(vs1=1, nvec=4, sec=0, mask=0b1111),
+                                  DcF(vs1=2, vd=3, sh=0, dh=0, m_row=0, bidx=0),
+                                  VStore(3, 0)))]
+    one_by_one = []
+    issue_each = _Clock._issue_each
+    monkeypatch.setattr(_Clock, "_issue_each", lambda clock, instructions: (
+        one_by_one.append(len(instructions)), issue_each(clock, instructions)))
+    total, cycles, counts, trace = reference_schedule(body, timing)
+    assert total == 2 + 5 * interval + 4 + 8
+    walked = execute(prog(body), timing, bytearray(8))
+    assert one_by_one == [3] * 5
+    traced_rows = []
+    traced = execute(prog(body), timing, trace=traced_rows)
+    extrapolated = execute(prog(body), timing)
+    for out in (walked, traced, extrapolated):
+        assert out.total_cycles == total
+        assert out.cycles_by_class == cycles
+        assert out.counts_by_class == counts
+    assert traced_rows == trace
