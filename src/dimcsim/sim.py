@@ -86,8 +86,9 @@ rows without copying them. Repeat(1) bodies are inlined into their parent,
 so a layer with one output position batches over its kernel groups. A body
 that fails either check is walked iteration by iteration through the same
 code, where an out-of-bounds access raises with the pc the unrolled
-program would report. One tile load or compute call therefore covers a
-whole batch.
+program would report. Every other fault is static, and ``Program``
+rejects it when it is built. One tile load or compute call therefore
+covers a whole batch.
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ NUM_REGIONS = 3
 
 
 class SimulationError(Exception):
-    """Raised when a program cannot execute; carries the offending pc."""
+    """Raised by ``Program`` for an instruction that can never execute and
+    by ``execute`` for an out-of-bounds access; carries the offending pc."""
 
     def __init__(self, message: str, pc: int | None = None):
         if pc is not None:
@@ -187,7 +189,7 @@ class Barrier:
 @dataclass(frozen=True)
 class Repeat:
     """``count`` iterations of ``body``, each advancing the addresses of
-    region r by ``strides[r]`` (regions past its end stay put)."""
+    region r by ``strides[r]`` (missing trailing strides are 0)."""
 
     count: int
     body: tuple
@@ -199,12 +201,17 @@ class Repeat:
         if len(self.strides) > NUM_REGIONS:
             raise ValueError(f"at most {NUM_REGIONS} region strides, got {len(self.strides)}")
         object.__setattr__(self, "body", tuple(self.body))
-        object.__setattr__(self, "strides", tuple(self.strides))
+        object.__setattr__(self, "strides",
+                           tuple(self.strides) + (0,) * (NUM_REGIONS - len(self.strides)))
 
 
 @dataclass(frozen=True)
 class Program:
-    """An instruction stream plus the tile configuration it assumes."""
+    """An instruction stream plus the tile configuration it assumes.
+
+    Construction rejects any instruction that cannot execute, with
+    SimulationError and the pc the unrolled program reaches it at.
+    """
 
     body: tuple
     mode: PrecisionMode = PrecisionMode()
@@ -212,6 +219,7 @@ class Program:
 
     def __post_init__(self):
         object.__setattr__(self, "body", tuple(self.body))
+        _check(self.body, 0)
 
 
 def _check_cycles(name: str, value) -> None:
@@ -279,9 +287,9 @@ class TimingModel:
 class SimOutcome:
     """Result of one simulation run.
 
-    ``functional`` tells whether the register file ``vrf`` (8 * NUM_VREGS
-    bytes) and ``memory`` reflect real execution (runs given a memory image)
-    or are untouched placeholders (runs that produce timing and counts only).
+    The register file ``vrf`` (8 * NUM_VREGS bytes) and ``memory`` are the
+    final architectural state of a run given a memory image; a run without
+    one leaves ``vrf`` zero and ``memory`` None.
     """
 
     total_cycles: int
@@ -289,7 +297,6 @@ class SimOutcome:
     counts_by_class: dict
     vrf: bytearray
     memory: bytearray | None
-    functional: bool
 
     @property
     def instruction_count(self) -> int:
@@ -319,8 +326,21 @@ def _fault(ins) -> str | None:
     return None
 
 
-def _stride(node: Repeat, region: int) -> int:
-    return node.strides[region] if region < len(node.strides) else 0
+def _check(nodes, pc: int) -> int:
+    """Raise on the first instruction in ``nodes`` that cannot execute, with
+    the pc the unrolled program reaches it at (the first node's is ``pc``);
+    returns the pc after one pass. Repeat(0) bodies never execute."""
+    for node in nodes:
+        cls = node.__class__
+        if cls is Repeat:
+            if node.count:
+                pc += node.count * (_check(node.body, pc) - pc)
+        elif cls is not Barrier:
+            fault = _fault(node)
+            if fault:
+                raise SimulationError(fault, pc=pc)
+            pc += 1
+    return pc
 
 
 # -- timing half ---------------------------------------------------------------
@@ -372,10 +392,8 @@ class _Run:
                  "guards")
 
 
-def _compile_run(instructions, kinds: dict, traced: bool, pc: int) -> _Run:
-    """Schedule one straight-line run, instruction by instruction, to a
-    _Run; a faulty instruction raises with its pc (the first one's is
-    ``pc``)."""
+def _compile_run(instructions, kinds: dict, traced: bool) -> _Run:
+    """Schedule one straight-line run, instruction by instruction, to a _Run."""
     written = {}
     waits = {}
     gaps = [0] * len(CLASSES)
@@ -385,10 +403,6 @@ def _compile_run(instructions, kinds: dict, traced: bool, pc: int) -> _Run:
     peak = 0
     last = None
     for ins in instructions:
-        fault = _fault(ins)
-        if fault:
-            raise SimulationError(fault, pc=pc)
-        pc += 1
         kind, reads, writes = _scoreboard(ins)
         cls, unit, latency, interval = kinds[kind]
         at = offset + 1
@@ -462,14 +476,11 @@ class _Clock:
         self.t_last = -1
         self.t_max = 0
 
-    def compile(self, nodes, pc: int = 0) -> tuple:
-        """(compiled body, instructions one pass runs, keys one pass
-        writes); the first faulty instruction raises with the pc it would
-        execute at."""
+    def compile(self, nodes) -> tuple:
+        """(compiled body, keys one pass writes)."""
         parts = []
         written = set()
         traced = self.trace is not None
-        start = pc
         first = None
         for i, node in enumerate(nodes):
             cls = node.__class__
@@ -478,19 +489,16 @@ class _Clock:
                     first = i
                 continue
             if first is not None:
-                parts.append(_compile_run(nodes[first:i], self.kinds, traced, pc))
-                pc += i - first
+                parts.append(_compile_run(nodes[first:i], self.kinds, traced))
                 first = None
             if cls is Barrier:
                 parts.append((_BARRIER, None, None))
             elif node.count:
-                body, length, inner = self.compile(node.body, pc)
+                body, inner = self.compile(node.body)
                 parts.append((_LOOP, node.count, body))
                 written |= inner
-                pc += node.count * length
         if first is not None:
-            parts.append(_compile_run(nodes[first:], self.kinds, traced, pc))
-            pc += len(nodes) - first
+            parts.append(_compile_run(nodes[first:], self.kinds, traced))
         runs = [part for part in parts if part.__class__ is _Run]
         for run in runs:
             written.update(key for key, _ in run.stores)
@@ -498,7 +506,7 @@ class _Clock:
             waits = run.guards
             warm = {key: at for key, at in waits.items() if key in written}
             run.guards = tuple((tuple(w), tuple(w.values())) for w in (waits, warm))
-        return tuple(parts), pc - start, written
+        return tuple(parts), written
 
     def run(self, body, warm: bool = False) -> None:
         """Advance over a compiled body; ``warm`` when an earlier pass of
@@ -646,15 +654,6 @@ def _data_effects(ins) -> tuple:
     return reads, (_bytes(dst, 4) if cls is DcP else _bytes(dst + ins.bidx, 1))
 
 
-class _Fault:
-    """A faulty instruction, raising when the data walk reaches it."""
-
-    __slots__ = ("message",)
-
-    def __init__(self, message: str):
-        self.message = message
-
-
 class _Body:
     """What the data half knows about one body before running it.
 
@@ -665,9 +664,9 @@ class _Body:
     enclose it inside the body, as (is_store, addr, region, ((count,
     stride), ...)). ``first`` is the class of the first item one pass
     executes. The body's passes are ``independent`` when no pass reads what
-    another writes: nothing it reads before writing is written at all, it
-    holds no faulty instruction, and it does not open with a dc.f (whose
-    packing would depend on the previous pass).
+    another writes: nothing it reads before writing is written at all, and
+    it does not open with a dc.f (whose packing would depend on the
+    previous pass).
     """
 
     def __init__(self, nodes, analyze):
@@ -676,7 +675,6 @@ class _Body:
         self.length = 0
         self.exposed = self.written = 0
         self.first = None
-        faulty = False
         for node in nodes:
             cls = node.__class__
             if cls is Repeat:
@@ -689,34 +687,25 @@ class _Body:
                 else:
                     self.items.append(node)
                     self.accesses.extend(
-                        (store, addr, region, ((node.count, _stride(node, region)),) + loops)
+                        (store, addr, region, ((node.count, node.strides[region]),) + loops)
                         for store, addr, region, loops in inner.accesses)
                 self.length += node.count * inner.length
                 reads, writes = inner.exposed, inner.written
-                faulty = faulty or not inner.valid
                 cls = inner.first
             elif cls is Barrier:
                 self.items.append(node)
                 reads = writes = 0
             else:
-                fault = _fault(node)
-                if fault:
-                    self.items.append(_Fault(fault))
-                    faulty = True
-                    reads = writes = 0
-                else:
-                    self.items.append(node)
-                    reads, writes = _data_effects(node)
-                    if cls is VLoad or cls is VStore:
-                        self.accesses.append((cls is VStore, node.addr, node.region, ()))
+                self.items.append(node)
+                reads, writes = _data_effects(node)
+                if cls is VLoad or cls is VStore:
+                    self.accesses.append((cls is VStore, node.addr, node.region, ()))
                 self.length += 1
             if self.first is None:
                 self.first = cls
             self.exposed |= reads & ~self.written
             self.written |= writes
-        self.valid = not faulty
-        self.independent = (self.valid and not self.exposed & self.written
-                            and self.first is not DcF)
+        self.independent = not self.exposed & self.written and self.first is not DcF
 
 
 class _Machine:
@@ -787,8 +776,7 @@ class _Machine:
         steps = np.arange(node.count)
         # a region the loop does not advance keeps an axis of size 1
         self.offsets = [np.expand_dims(offset, -1) + (steps * stride if stride else 0)
-                        for offset, stride in
-                        zip(saved, (_stride(node, r) for r in range(NUM_REGIONS)))]
+                        for offset, stride in zip(saved, node.strides)]
         self.regs = [np.expand_dims(r, -2) for r in self.regs]
         self.tile.push_axis()
         self.depth += 1
@@ -806,7 +794,7 @@ class _Machine:
         loads, stores = [], []
         for store, addr, region, loops in body.accesses:
             starts = np.array([self.offsets[region] + addr])
-            for count, stride in ((node.count, _stride(node, region)),) + loops:
+            for count, stride in ((node.count, node.strides[region]),) + loops:
                 if stride:
                     starts = (starts[:, None] + np.arange(count) * stride).ravel()
                 elif store:
@@ -852,11 +840,9 @@ class _Machine:
             self.tile.load_input_sector(ins.sec, *self._gather(ins))
         elif cls is DlM:
             self.tile.load_memory_row(ins.m_row, ins.sec, *self._gather(ins))
-        elif cls is DcP:
+        else:
             p = self.tile.compute_row(ins.m_row, self.mode, self._incoming(ins))
             self._write(ins.vd, 4 * ins.dh, np.expand_dims(np.asarray(p, "<i4"), -1).view(np.uint8))
-        else:
-            raise SimulationError(ins.message, pc=self.pc)
         self.pc += 1
 
     def _address(self, ins) -> np.ndarray:
@@ -918,7 +904,6 @@ def execute(program: Program, timing: TimingModel | None = None,
     timing = timing if timing is not None else TimingModel()
     vrf = bytearray(8 * NUM_VREGS)
     if memory is not None:
-        # data first: a fault it meets is the first one in program order
         machine = _Machine(program, memory)
         machine.run_nodes(program.body)
         vrf = machine.vrf
@@ -931,7 +916,6 @@ def execute(program: Program, timing: TimingModel | None = None,
         counts_by_class=dict(zip(CLASSES, clock.counts)),
         vrf=vrf,
         memory=memory,
-        functional=memory is not None,
     )
 
 

@@ -71,10 +71,6 @@ class PrecisionMode:
     def dimc_supported(self) -> bool:
         return self.bits <= 4
 
-    @property
-    def elements_per_row(self) -> int:
-        return ROW_BITS // self.bits
-
     def input_range(self) -> tuple[int, int]:
         return value_range(self.bits, self.input_signed)
 

@@ -205,10 +205,24 @@ def test_barrier_drains_pipeline():
     assert out.counts_by_class["computing"] == 1  # barrier is not an instruction
 
 
-def test_gather_past_register_file_reports_pc():
-    body = [VClear(1), DlI(vs1=30, nvec=4, sec=0, mask=0b1111)]
+@pytest.mark.parametrize("body, pc", [
+    ([VClear(1), DlI(vs1=30, nvec=4, sec=0, mask=0b1111)], 1),
+    # v1, v2 and v3 clear at pcs 0-2, so the inner loop's first pass
+    # faults at 3; the Repeat(0) body never runs, so its fault never counts
+    ([VClear(1), Repeat(3, (VClear(2), Repeat(0, (VClear(99),)),
+                            Repeat(2, (VClear(3), VClear(50)))))], 3),
+], ids=["flat", "nested"])
+def test_gather_past_register_file_reports_pc(body, pc):
     with pytest.raises(SimulationError) as err:
         execute(prog(body))
+    assert err.value.pc == pc
+
+
+def test_static_fault_is_raised_when_the_program_is_built():
+    # the vload would be out of bounds first, but the bad register is
+    # static and rejected before anything runs
+    with pytest.raises(SimulationError, match="vclear register 40") as err:
+        Program((VLoad(1, 1000), VClear(40)))
     assert err.value.pc == 1
 
 
@@ -249,7 +263,7 @@ def test_repeat_matches_flat_expansion(count):
     assert comp.total_cycles == flat.total_cycles
     assert comp.cycles_by_class == flat.cycles_by_class
     assert comp.counts_by_class == flat.counts_by_class
-    assert not comp.functional and flat.functional
+    assert comp.memory is None and flat.memory is not None
 
 
 def test_nested_repeat_matches_flat_expansion():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dimcsim.tile import (DimcTile, PrecisionMode, QuantConfig, ROW_BYTES,
+from dimcsim.tile import (DimcTile, PrecisionMode, QuantConfig, ROW_BITS, ROW_BYTES,
                           decode_elements, pack_elements, wrap_partial)
 
 
@@ -88,7 +88,7 @@ def test_compute_single_element_identity():
 
 def _fill(tile, rng, mode):
     """Load random input and row 0; returns the packed element vectors."""
-    n = mode.elements_per_row
+    n = ROW_BITS // mode.bits
     lo, hi = mode.input_range()
     x = rng.integers(lo, hi + 1, n)
     lo, hi = mode.weight_range()
