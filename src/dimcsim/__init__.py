@@ -2,7 +2,7 @@
 in-memory-compute lane, plus the layer-lowering toolchain and evaluation
 metrics around it."""
 
-from .baseline import BaselineCostConfig, baseline_cycles
+from .baseline import baseline_cycles
 from .isa import DcF, DcP, DlI, DlM, assemble, decode, disassemble, encode
 from .mapper import (LayerDescriptor, MappingPlan, NotDimcEligibleError,
                      lower, ops_count, plan_mapping)
@@ -14,7 +14,7 @@ from .tile import DimcTile, PrecisionMode, QuantConfig, wrap_partial
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineCostConfig", "baseline_cycles",
+    "baseline_cycles",
     "DcF", "DcP", "DlI", "DlM", "assemble", "decode", "disassemble", "encode",
     "LayerDescriptor", "MappingPlan", "NotDimcEligibleError",
     "lower", "ops_count", "plan_mapping",

@@ -3,7 +3,7 @@
 The reference core has no in-memory lane and a minimum element width of
 8 bits, so one vector operation covers VLEN/8 = 8 elements. The model is a
 closed formula rather than an instruction-by-instruction simulation, with
-every constant overridable so reported speedups stay auditable:
+every constant named here so reported speedups stay auditable:
 
     cycles = och * oh * ow *
              ( ceil(ich*kh*kw / lanes) * (load + mac) + reduce + store )
@@ -11,26 +11,15 @@ every constant overridable so reported speedups stay auditable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+LANES_INT8 = 8
+LOAD_CYCLES = 8
+MAC_CYCLES = 1
+REDUCE_CYCLES = 4
+STORE_CYCLES = 8
 
 
-@dataclass(frozen=True)
-class BaselineCostConfig:
-    lanes_int8: int = 8
-    load_cycles: int = 8
-    mac_cycles: int = 1
-    reduce_cycles: int = 4
-    store_cycles: int = 8
-
-    def __post_init__(self):
-        for name in ("lanes_int8", "load_cycles", "mac_cycles",
-                     "reduce_cycles", "store_cycles"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-
-def baseline_cycles(layer, cfg: BaselineCostConfig = BaselineCostConfig()) -> int:
+def baseline_cycles(layer) -> int:
     """Cycles for the whole layer on the baseline core."""
-    chunks = -(-layer.kernel_elements // cfg.lanes_int8)
-    per_output = chunks * (cfg.load_cycles + cfg.mac_cycles) + cfg.reduce_cycles + cfg.store_cycles
+    chunks = -(-layer.kernel_elements // LANES_INT8)
+    per_output = chunks * (LOAD_CYCLES + MAC_CYCLES) + REDUCE_CYCLES + STORE_CYCLES
     return layer.och * layer.oh * layer.ow * per_output

@@ -78,6 +78,9 @@ def load_workload(source) -> WorkloadFile:
     if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
         raise WorkloadError(f"{source}: expected an object with a 'layers' list")
     _check_keys(doc, ("network", "default_precision", "layers"), str(source))
+    network = doc.get("network", "unnamed")
+    if not isinstance(network, str):
+        raise WorkloadError(f"{source}: network must be a string, got {network!r}")
     default_prec = _parse_precision(doc.get("default_precision", {}), f"{source}")
     entries = []
     for idx, item in enumerate(doc["layers"]):
@@ -103,7 +106,7 @@ def load_workload(source) -> WorkloadFile:
         entries.append((name, layer))
     if not entries:
         raise WorkloadError(f"{source}: workload has no layers")
-    return WorkloadFile(network=doc.get("network", "unnamed"), entries=tuple(entries))
+    return WorkloadFile(network=network, entries=tuple(entries))
 
 
 def _random_tensors(layer: mapper.LayerDescriptor, seed: int):
@@ -125,14 +128,14 @@ def _verify_layer(name, lowering, timing, extrapolated_cycles, trace_path):
     inputs, weights = _random_tensors(layer, _VERIFY_SEED ^ zlib.crc32(name.encode()))
     trace = [] if trace_path else None
     outcome, got = sim.run_layer(lowering, timing, inputs, weights, trace=trace)
+    if trace_path:
+        sim.write_trace_csv(trace, trace_path)
     if outcome.total_cycles != extrapolated_cycles:
         return (f"{name}: extrapolated cycles {extrapolated_cycles} "
                 f"!= walked cycles {outcome.total_cycles}")
     want = oracle.quantize_partials(
         oracle.conv_partials(inputs, weights, layer.stride, layer.padding),
         lowering.quant)
-    if trace_path:
-        sim.write_trace_csv(trace, trace_path)
     if not np.array_equal(got, want):
         bad = int(np.argwhere(got != want)[0][2])
         return f"{name}: output mismatch against the convolution reference (first bad channel {bad})"

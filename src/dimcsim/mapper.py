@@ -192,28 +192,29 @@ def _final_target(k: int) -> tuple[int, int, int]:
 
 
 class _Layout:
-    """Kernel group sizes and the byte offsets of the patch and output
-    regions; weights start at 0."""
+    """The kernel groups and the byte offsets of the patch and output
+    regions; weights start at 0. ``full`` groups of ``per_group`` kernels,
+    whose output regions follow one another from ``full_base``, come before
+    a group of the ``rest`` kernels at ``rest_base`` if that is non-zero."""
 
     def __init__(self, layer: LayerDescriptor, plan: MappingPlan, terminal: str):
-        full, rest = divmod(layer.och, plan.kernels_per_group)
-        self.group_sizes = [plan.kernels_per_group] * full + ([rest] if rest else [])
+        self.per_group = plan.kernels_per_group
+        self.full, self.rest = divmod(layer.och, self.per_group)
         self.record_bytes = _ceil_div(plan.kernel_bits, 64) * 8
         self.patches_base = layer.och * self.record_bytes
         positions = layer.oh * layer.ow
-        self.out_base = []
-        self.out_record = []
-        offset = self.patches_base + positions * self.record_bytes
-        for size in self.group_sizes:
+
+        def out_record(size: int) -> int:
             if terminal == "final":
-                rec = _ceil_div(_ceil_div(size, 2), 8) * 8
-            else:
-                # 32-bit partials, stored two per register
-                rec = _ceil_div(size, 2) * 8
-            self.out_base.append(offset)
-            self.out_record.append(rec)
-            offset += positions * rec
-        self.total_bytes = offset
+                return _ceil_div(_ceil_div(size, 2), 8) * 8
+            # 32-bit partials, stored two per register
+            return _ceil_div(size, 2) * 8
+
+        self.full_record = out_record(self.per_group)
+        self.rest_record = out_record(self.rest)
+        self.full_base = self.patches_base + positions * self.record_bytes
+        self.rest_base = self.full_base + self.full * positions * self.full_record
+        self.total_bytes = self.rest_base + positions * self.rest_record
 
 
 class _Emitter:
@@ -233,15 +234,16 @@ class _Emitter:
         for sec, nvec, mask in _sector_plan(chunk_bits):
             out.append(make(REG_STAGE + 4 * sec, nvec, sec, mask))
 
-    def group_prologue(self, g: int) -> list:
+    def group_prologue(self, g: int, size: int, out_record: int) -> list:
+        """Group g's kernel loads; it holds ``size`` kernels."""
         plan, layout = self.plan, self.layout
         # a kernel (re)load starts only once the pipeline has drained
         out: list = [Barrier()]
         if self.terminal == "final":
-            for j in range(layout.out_record[g] // 8):
+            for j in range(out_record // 8):
                 out.append(VClear(REG_OUT + j))
-        for k in range(layout.group_sizes[g]):
-            record = (g * plan.kernels_per_group + k) * layout.record_bytes
+        for k in range(size):
+            record = (g * layout.per_group + k) * layout.record_bytes
             for t in range(plan.tiling_factor):
                 row = k * plan.tiling_factor + t
                 bits = _chunk_bits(plan.kernel_bits, t)
@@ -249,12 +251,10 @@ class _Emitter:
                                   functools.partial(DlM, m_row=row))
         return out
 
-    def position_block(self, g: int) -> list:
-        """Group g's block for its first output position."""
+    def position_block(self, size: int, out_base: int, out_record: int) -> list:
+        """The block of a group of ``size`` kernels for its first output position."""
         plan, layout = self.plan, self.layout
-        size = layout.group_sizes[g]
         tiles = plan.tiling_factor
-        out_rec = layout.out_base[g]
         out: list = []
         for t in range(tiles):
             self._chunk_loads(out, layout.patches_base + t * (ROW_BITS // 8), _PATCHES,
@@ -276,33 +276,32 @@ class _Emitter:
                         out.append(DcP(vs1=src, vd=preg, sh=shalf, dh=phalf, m_row=row))
                 if last and self.terminal == "partial":
                     for j in range(_ceil_div(len(batch), 2)):
-                        out.append(VStore(REG_PART + j, out_rec + 4 * start + 8 * j, _OUTPUTS))
+                        out.append(VStore(REG_PART + j, out_base + 4 * start + 8 * j, _OUTPUTS))
         if self.terminal == "final":
-            for j in range(layout.out_record[g] // 8):
-                out.append(VStore(REG_OUT + j, out_rec + 8 * j, _OUTPUTS))
+            for j in range(out_record // 8):
+                out.append(VStore(REG_OUT + j, out_base + 8 * j, _OUTPUTS))
         return out
 
-    def _group(self, g: int) -> list:
+    def _group(self, g: int, size: int, out_base: int, out_record: int) -> list:
         """Group g's prologue, then its block repeated over the positions."""
-        layout = self.layout
         positions = self.layer.oh * self.layer.ow
-        return self.group_prologue(g) + [
-            Repeat(positions, self.position_block(g),
-                   (0, layout.record_bytes, layout.out_record[g]))]
+        return self.group_prologue(g, size, out_record) + [
+            Repeat(positions, self.position_block(size, out_base, out_record),
+                   (0, self.layout.record_bytes, out_record))]
 
     def emit(self) -> list:
         """The full groups as one Repeat (they share a record size, so they
-        sit at fixed distances), then the partial group if any."""
+        sit at fixed distances), then the remainder group if any."""
         layout = self.layout
-        full = self.layer.och // self.plan.kernels_per_group
         body: list = []
-        if full:
+        if layout.full:
             positions = self.layer.oh * self.layer.ow
-            body.append(Repeat(full, self._group(0), (
-                self.plan.kernels_per_group * layout.record_bytes, 0,
-                positions * layout.out_record[0])))
-        if full < len(layout.group_sizes):
-            body.extend(self._group(full))
+            body.append(Repeat(layout.full, self._group(
+                0, layout.per_group, layout.full_base, layout.full_record), (
+                layout.per_group * layout.record_bytes, 0, positions * layout.full_record)))
+        if layout.rest:
+            body.extend(self._group(layout.full, layout.rest, layout.rest_base,
+                                    layout.rest_record))
         return body
 
 
@@ -311,7 +310,6 @@ class Lowering:
     """A lowered layer: the program plus its external-memory conventions."""
 
     layer: LayerDescriptor
-    plan: MappingPlan
     terminal: str
     quant: QuantConfig
     program: Program
@@ -351,17 +349,25 @@ class Lowering:
         """
         layer, layout = self.layer, self._layout
         positions = layer.oh * layer.ow
-        groups = []
-        for g, size in enumerate(layout.group_sizes):
-            rec = layout.out_record[g]
-            region = np.frombuffer(memory, np.uint8, positions * rec, layout.out_base[g])
+
+        def groups(base: int, count: int, record: int, size: int) -> np.ndarray:
+            """(positions, count * size) outputs of ``count`` adjacent groups."""
+            region = np.frombuffer(memory, np.uint8, count * positions * record, base)
             if self.terminal == "final":
                 # kernel k is nibble k % 2 (low first) of byte k // 2
                 values = np.stack([region & 0xF, region >> 4], axis=-1)
             else:
                 values = region.view("<i4")
-            groups.append(values.reshape(positions, -1)[:, :size])
-        out = np.concatenate(groups, axis=1).astype(np.int64)
+            values = values.reshape(count, positions, -1)[:, :, :size]
+            return values.transpose(1, 0, 2).reshape(positions, -1)
+
+        parts = []
+        if layout.full:
+            parts.append(groups(layout.full_base, layout.full, layout.full_record,
+                                layout.per_group))
+        if layout.rest:
+            parts.append(groups(layout.rest_base, 1, layout.rest_record, layout.rest))
+        out = np.concatenate(parts, axis=1).astype(np.int64)
         return out.reshape(layer.oh, layer.ow, layer.och)
 
     @staticmethod
@@ -400,8 +406,8 @@ def lower(layer: LayerDescriptor, plan: MappingPlan | None = None, *,
     layout = _Layout(layer, plan, terminal)
     program = Program(_Emitter(layer, plan, terminal, layout).emit(),
                       mode=layer.precision, quant=quant)
-    return Lowering(layer=layer, plan=plan, terminal=terminal, quant=quant,
-                    program=program, _layout=layout)
+    return Lowering(layer=layer, terminal=terminal, quant=quant, program=program,
+                    _layout=layout)
 
 
 def lower_compressed(layer: LayerDescriptor, plan: MappingPlan | None = None, *,

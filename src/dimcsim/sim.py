@@ -711,18 +711,18 @@ class _Body:
 class _Machine:
     """The data half: architectural state evolved in program order.
 
-    Registers are 32 uint8 arrays of 8 bytes, the tile holds its own.
-    Inside a Repeat run as a batch each array gains one leading axis per
-    batched loop, of the loop's count or of 1 where the state does not vary
-    along it, and the address offsets become arrays over the same axes.
+    Registers are 32 uint8 arrays of 8 bytes; the tile, built for the
+    program's precision mode, holds its own. Inside a Repeat run as a batch
+    each array gains one leading axis per batched loop, of the loop's count
+    or of 1 where the state does not vary along it, and the address offsets
+    become arrays over the same axes.
     """
 
     def __init__(self, program: Program, memory: bytearray):
-        self.mode = program.mode
         self.quant = program.quant
         self.mem = np.frombuffer(memory, dtype=np.uint8)
         self.regs = list(np.zeros((NUM_VREGS, 8), dtype=np.uint8))
-        self.tile = DimcTile()
+        self.tile = DimcTile(program.mode)
         # per-region address offset of the current iteration(s)
         self.offsets = [0] * NUM_REGIONS
         # number of batched loops the walk is inside
@@ -841,7 +841,7 @@ class _Machine:
         elif cls is DlM:
             self.tile.load_memory_row(ins.m_row, ins.sec, *self._gather(ins))
         else:
-            p = self.tile.compute_row(ins.m_row, self.mode, self._incoming(ins))
+            p = self.tile.compute_row(ins.m_row, self._incoming(ins))
             self._write(ins.vd, 4 * ins.dh, np.expand_dims(np.asarray(p, "<i4"), -1).view(np.uint8))
         self.pc += 1
 
@@ -877,7 +877,7 @@ class _Machine:
 
     def _dcf(self, ins) -> None:
         nibble = np.asarray(self.tile.compute_row_final(
-            ins.m_row, self.mode, self._incoming(ins), self.quant), dtype=np.uint8)[..., None]
+            ins.m_row, self._incoming(ins), self.quant), dtype=np.uint8)[..., None]
         lo = 4 * ins.dh + ins.bidx
         byte = 8 * ins.vd + lo
         if self.open_byte == byte:

@@ -54,7 +54,7 @@ class PrecisionMode:
 
     Widths 1, 2 and 4 run on the tile (1024, 512 or 256 MACs per compute).
     Widths 8 and 16 are representable only so that layer descriptors can
-    carry precisions the DIMC path has to reject; tile operations refuse
+    carry precisions the DIMC path has to reject; no tile is built for
     them. Signedness is independent per operand side, so signed weights
     against unsigned activations (and any other mix) are legal.
     """
@@ -143,11 +143,14 @@ def writable(target: np.ndarray, shape) -> np.ndarray:
 
 
 class DimcTile:
-    """One compute tile: weight memory, input buffer, and the row MAC.
+    """One compute tile at one precision: weight memory, input buffer, and
+    the row MAC. Building one for a width it cannot run raises ValueError.
 
-    Loads mutate the tile in place; computes never do. A tile starts with
-    every bit cleared, which the layer mapper relies on for sectors it
-    leaves untouched.
+    Buffer and rows hold the elements a compute multiplies, one int8 each:
+    a load decodes its payload at the tile's precision, and the readback
+    packs the elements into bytes again. Loads mutate the tile in place;
+    computes never do. A tile starts with every element zero, which the
+    layer mapper relies on for sectors it leaves untouched.
 
     The state may carry leading batch axes, one per loop the simulator
     runs as a batch: ``push_axis`` adds one of size 1 and ``pop_axis``
@@ -156,13 +159,13 @@ class DimcTile:
     axis is stored once for all of it.
     """
 
-    def __init__(self):
-        self._memory = np.zeros((ROWS, ROW_BYTES), dtype=np.uint8)
-        self._input = np.zeros(ROW_BYTES, dtype=np.uint8)
-        # Decoded elements per weight row (key ROWS: the input buffer) as
-        # (bits, signed, array), which keep repeated computes against an
-        # unchanged row or buffer cheap; a load drops its own row's entry.
-        self._decoded: dict = {}
+    def __init__(self, mode: PrecisionMode):
+        if not mode.dimc_supported:
+            raise ValueError(f"the tile runs 1-, 2- or 4-bit elements, got {mode.bits}-bit")
+        self.mode = mode
+        elements = ROW_BITS // mode.bits
+        self._memory = np.zeros((ROWS, elements), dtype=np.int8)
+        self._input = np.zeros(elements, dtype=np.int8)
 
     # -- batch axes --------------------------------------------------------
 
@@ -170,15 +173,11 @@ class DimcTile:
         """Add an innermost batch axis of size 1 to the whole state."""
         self._input = np.expand_dims(self._input, -2)
         self._memory = np.expand_dims(self._memory, -3)
-        self._decoded = {key: (bits, signed, np.expand_dims(elements, -2))
-                         for key, (bits, signed, elements) in self._decoded.items()}
 
     def pop_axis(self) -> None:
         """Drop the innermost batch axis, keeping its last entry."""
         self._input = self._input[..., -1, :]
         self._memory = self._memory[..., -1, :, :]
-        self._decoded = {key: (bits, signed, elements[..., -1, :])
-                         for key, (bits, signed, elements) in self._decoded.items()}
 
     # -- loads ------------------------------------------------------------
 
@@ -190,28 +189,26 @@ class DimcTile:
         all other sectors keep their previous contents.
         """
         self._check_sector(sector)
-        buf = self._as_sector_bytes(data)
+        elements = self._payload(data, self.mode.input_signed)
         mask = self._check_mask(valid_mask)
         self._input = writable(self._input, np.broadcast_shapes(
-            self._input.shape, buf.shape[:-1] + (ROW_BYTES,)))
-        self._masked_write(self._input, sector * SECTOR_BYTES, buf, mask)
-        self._decoded.pop(ROWS, None)
+            self._input.shape, elements.shape[:-1] + self._input.shape[-1:]))
+        self._masked_write(self._input, sector, elements, mask)
 
     def load_memory_row(self, row: int, sector: int, data, valid_mask: int) -> None:
         """Same slice/mask semantics as load_input_sector, applied to the
         256-bit window ``sector`` of weight row ``row``."""
         self._check_row(row)
         self._check_sector(sector)
-        buf = self._as_sector_bytes(data)
+        elements = self._payload(data, self.mode.weight_signed)
         mask = self._check_mask(valid_mask)
         self._memory = writable(self._memory, np.broadcast_shapes(
-            self._memory.shape, buf.shape[:-1] + (ROWS, ROW_BYTES)))
-        self._masked_write(self._memory[..., row, :], sector * SECTOR_BYTES, buf, mask)
-        self._decoded.pop(row, None)
+            self._memory.shape, elements.shape[:-1] + self._memory.shape[-2:]))
+        self._masked_write(self._memory[..., row, :], sector, elements, mask)
 
     # -- computes ---------------------------------------------------------
 
-    def compute_row(self, row: int, mode: PrecisionMode, incoming=0):
+    def compute_row(self, row: int, incoming=0):
         """Dot product of the input buffer with weight row ``row`` plus the
         incoming partial, wrapped into the 24-bit accumulator range.
 
@@ -221,47 +218,37 @@ class DimcTile:
         result is an int64 array; otherwise it is one integer.
         """
         self._check_row(row)
-        if not mode.dimc_supported:
-            raise ValueError(f"tile computes support at most 4-bit elements, got {mode.bits}")
-        x = self._elements(ROWS, self._input, mode.bits, mode.input_signed)
-        w = self._elements(row, self._memory[..., row, :], mode.bits, mode.weight_signed)
         # |dot| <= 1024 * 15 * 15 fits int32, so the MAC is exact there
-        dot = np.einsum("...e,...e->...", x, w, dtype=np.int32)
+        dot = np.einsum("...e,...e->...", self._input, self._memory[..., row, :], dtype=np.int32)
         return wrap_partial(dot.astype(np.int64) + incoming)
 
-    def compute_row_final(self, row: int, mode: PrecisionMode, incoming,
-                          quant: QuantConfig):
+    def compute_row_final(self, row: int, incoming, quant: QuantConfig):
         """compute_row followed by ReLU, right shift and saturation.
 
         Returns the quantized value as an unsigned nibble in [0, 15].
         """
-        p = self.compute_row(row, mode, incoming)
+        p = self.compute_row(row, incoming)
         return np.minimum(np.maximum(p, 0) >> quant.right_shift, quant.max_value)
 
     # -- readback ---------------------------------------------------------
 
     def memory_row(self, row: int) -> bytes:
         self._check_row(row)
-        return self._memory[..., row, :].tobytes()
+        return pack_elements(self._memory[..., row, :], self.mode.bits).tobytes()
 
     def input_buffer(self) -> bytes:
-        return self._input.tobytes()
+        return pack_elements(self._input, self.mode.bits).tobytes()
 
     # -- internals --------------------------------------------------------
 
     @staticmethod
-    def _masked_write(target: np.ndarray, offset: int, buf: np.ndarray, mask: int) -> None:
+    def _masked_write(target: np.ndarray, sector: int, elements: np.ndarray, mask: int) -> None:
+        per_slice = elements.shape[-1] // SLICES_PER_SECTOR
+        offset = sector * elements.shape[-1]
         for i in range(SLICES_PER_SECTOR):
             if mask >> i & 1:
-                lo = offset + i * SLICE_BYTES
-                target[..., lo:lo + SLICE_BYTES] = buf[..., i * SLICE_BYTES:(i + 1) * SLICE_BYTES]
-
-    def _elements(self, key: int, raw: np.ndarray, bits: int, signed: bool) -> np.ndarray:
-        hit = self._decoded.get(key)
-        if hit is None or hit[0] != bits or hit[1] != signed:
-            hit = (bits, signed, decode_elements(raw, bits, signed))
-            self._decoded[key] = hit
-        return hit[2]
+                lo = i * per_slice
+                target[..., offset + lo:offset + lo + per_slice] = elements[..., lo:lo + per_slice]
 
     @staticmethod
     def _check_row(row: int) -> None:
@@ -279,12 +266,11 @@ class DimcTile:
             raise ValueError(f"valid mask {mask} out of range [0, 15]")
         return mask
 
-    @staticmethod
-    def _as_sector_bytes(data) -> np.ndarray:
-        """A sector payload: bytes, or a uint8 array with the bytes on its
-        last axis."""
+    def _payload(self, data, signed: bool) -> np.ndarray:
+        """The elements of a sector payload: bytes, or a uint8 array with
+        the bytes on its last axis."""
         buf = data if isinstance(data, np.ndarray) else np.frombuffer(bytes(data), dtype=np.uint8)
         size = buf.shape[-1] if buf.ndim else 0
         if size != SECTOR_BYTES:
             raise ValueError(f"sector payload must be {SECTOR_BYTES} bytes, got {size}")
-        return buf
+        return decode_elements(buf, self.mode.bits, signed)

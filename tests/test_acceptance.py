@@ -247,7 +247,7 @@ def test_criterion_8_packing_rule():
         outcome, got = sim.run_layer(lowering, None, x, w)
         layout = lowering._layout
         for pos in range(layer.oh * layer.ow):
-            rec = outcome.memory[layout.out_base[0] + pos * layout.out_record[0]:]
+            rec = outcome.memory[layout.rest_base + pos * layout.rest_record:]
             last_byte = rec[(och - 1) // 2]
             if och % 2 and last_byte >> 4 != 0:
                 ok = False

@@ -1,6 +1,4 @@
-import pytest
-
-from dimcsim.baseline import BaselineCostConfig, baseline_cycles
+from dimcsim.baseline import baseline_cycles
 from dimcsim.mapper import LayerDescriptor
 
 
@@ -30,17 +28,3 @@ def test_strictly_increasing_in_each_factor():
     assert baseline_cycles(conv(24, och=4, hw=4)) > base
     assert baseline_cycles(conv(16, och=5, hw=4)) > base
     assert baseline_cycles(conv(16, och=4, hw=5)) > base
-
-
-def test_custom_constants():
-    cfg = BaselineCostConfig(lanes_int8=4, load_cycles=2, mac_cycles=2,
-                             reduce_cycles=1, store_cycles=1)
-    # ceil(6/4)=2 chunks * 4 + 2 = 10 per output, 3 outputs
-    assert baseline_cycles(conv(6, och=3), cfg) == 30
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        BaselineCostConfig(lanes_int8=0)
-    with pytest.raises(ValueError):
-        BaselineCostConfig(mac_cycles=0)

@@ -4,7 +4,7 @@ import json
 import pytest
 
 import dimcsim
-from dimcsim import cli, metrics
+from dimcsim import cli, mapper, metrics, sim
 
 # sha256 of the default-table reports, as pinned in ROADMAP.md
 REPORT_SHA256 = {
@@ -143,6 +143,27 @@ def test_verify_does_not_change_cycles(tmp_path):
     assert plain.read_bytes() == verified.read_bytes()
 
 
+def test_cycle_mismatch_still_writes_the_layer_trace(tmp_path):
+    layer = cli.load_workload(write_workload(tmp_path / "wl.json", [UNIT_LAYER])).entries[0][1]
+    lowering = mapper.lower(layer)
+    walked = sim.execute(lowering.program).total_cycles
+    path = tmp_path / "unit.csv"
+    problem = cli._verify_layer("unit", lowering, sim.TimingModel(), walked + 1, path)
+    assert problem == f"unit: extrapolated cycles {walked + 1} != walked cycles {walked}"
+    trace = path.read_text().splitlines()
+    assert trace[0] == "cycle,class,mnemonic" and any("dc.f" in line for line in trace[1:])
+
+
+def test_huge_layer_simulates_timing_only(tmp_path, capsys):
+    # lowering costs O(1) in the kernel group count, so a layer far too
+    # large to execute functionally is still costed from its steady state
+    wl = write_workload(tmp_path / "wl.json", [dict(UNIT_LAYER, och=10**30)])
+    out = tmp_path / "r.csv"
+    assert cli.main(["simulate", wl, "-o", str(out)]) == 0
+    assert "1 layer(s) simulated" in capsys.readouterr().out
+    assert out.read_text().splitlines()[1].startswith(f"unit,{2 * 10**30},")
+
+
 def test_builtin_resnet50_workload_parses():
     wl = cli.load_workload("resnet50")
     assert wl.network == "resnet50"
@@ -262,6 +283,14 @@ def test_workload_unknown_layer_key_is_input_error(tmp_path, capsys):
 
 def test_workload_duplicate_layer_name_is_input_error(tmp_path, capsys):
     _rejected(tmp_path, capsys, [UNIT_LAYER, UNIT_LAYER], "layer 1 (unit)", "duplicate")
+
+
+def test_workload_non_string_network_is_input_error(tmp_path, capsys):
+    wl = write_workload(tmp_path / "wl.json", [UNIT_LAYER], network=["x"])
+    out = tmp_path / "r.json"
+    assert cli.main(["simulate", wl, "--format", "json", "-o", str(out)]) == 2
+    assert "network" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_trace_outside_directory_is_input_error(tmp_path, capsys):

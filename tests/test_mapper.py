@@ -259,8 +259,8 @@ def test_odd_kernel_count_leaves_trailing_half_byte_zero():
     x, w = tensors(layer, seed=7)
     low = lower(layer, quant=QuantConfig(0, 4))
     outcome, got = run_layer(low, None, x, w)
-    rec = low._layout.out_record[0]
-    base = low._layout.out_base[0]
+    rec = low._layout.rest_record
+    base = low._layout.rest_base
     want = oracle.quantize_partials(oracle.conv_partials(x, w, 1, 0), QuantConfig(0, 4))
     for pos in range(4):
         record = outcome.memory[base + pos * rec: base + (pos + 1) * rec]

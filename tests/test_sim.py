@@ -401,6 +401,17 @@ def test_program_mode_controls_compute():
     assert reg(two, 2, half=0) == 9
 
 
+def test_unsupported_precision_is_rejected_before_the_data_walk():
+    # the data half builds its tile for the program's precision, so an 8-bit
+    # program fails before its first instruction; its timing still runs
+    program = prog([VLoad(1, 0), VStore(1, 8)], mode=PrecisionMode(8))
+    memory = bytearray(range(16))
+    with pytest.raises(ValueError, match="8-bit"):
+        execute(program, memory=memory)
+    assert memory == bytearray(range(16))
+    assert execute(program).total_cycles == execute(prog(program.body)).total_cycles
+
+
 def test_program_quant_controls_dcf():
     mem = bytearray(8)
     mem[0:4] = (57).to_bytes(4, "little")

@@ -11,7 +11,7 @@ def sector(pattern):
 
 
 def test_full_mask_overwrites_sector():
-    tile = DimcTile()
+    tile = DimcTile(PrecisionMode(4))
     tile.load_input_sector(0, b"\xff" * 32, 0b1111)
     buf = tile.input_buffer()
     assert buf[:32] == b"\xff" * 32
@@ -19,7 +19,7 @@ def test_full_mask_overwrites_sector():
 
 
 def test_empty_mask_is_identity():
-    tile = DimcTile()
+    tile = DimcTile(PrecisionMode(4))
     tile.load_input_sector(1, sector([1, 2, 3, 4]), 0b1111)
     before = tile.input_buffer()
     tile.load_input_sector(3, b"\xaa" * 32, 0b0000)
@@ -29,7 +29,7 @@ def test_empty_mask_is_identity():
 def test_slice_mask_selects_slices():
     # mask 0b0101 writes slices 0 and 2 of sector 1, slices 1 and 3 keep
     # their previous contents
-    tile = DimcTile()
+    tile = DimcTile(PrecisionMode(4))
     tile.load_input_sector(1, sector([9, 9, 9, 9]), 0b1111)
     tile.load_input_sector(1, sector([0xA, 0xB, 0xC, 0xD]), 0b0101)
     buf = tile.input_buffer()
@@ -38,7 +38,7 @@ def test_slice_mask_selects_slices():
 
 
 def test_row_load_isolated_to_row():
-    tile = DimcTile()
+    tile = DimcTile(PrecisionMode(4))
     tile.load_memory_row(31, 0, b"\x55" * 32, 0b1111)
     assert tile.memory_row(31)[:32] == b"\x55" * 32
     for r in range(31):
@@ -46,7 +46,7 @@ def test_row_load_isolated_to_row():
 
 
 def test_two_sector_loads_concatenate():
-    tile = DimcTile()
+    tile = DimcTile(PrecisionMode(4))
     lo, hi = bytes(range(32)), bytes(range(32, 64))
     tile.load_memory_row(5, 0, lo, 0b1111)
     tile.load_memory_row(5, 1, hi, 0b1111)
@@ -54,7 +54,7 @@ def test_two_sector_loads_concatenate():
 
 
 def test_loads_idempotent():
-    tile = DimcTile()
+    tile = DimcTile(PrecisionMode(4))
     tile.load_memory_row(3, 2, sector([7, 0, 7, 0]), 0b1001)
     snap = tile.memory_row(3)
     tile.load_memory_row(3, 2, sector([7, 0, 7, 0]), 0b1001)
@@ -70,24 +70,26 @@ def test_loads_idempotent():
 ])
 def test_load_range_errors(call, args):
     with pytest.raises(ValueError):
-        getattr(DimcTile(), call)(*args)
+        getattr(DimcTile(PrecisionMode(4)), call)(*args)
 
 
 def test_compute_zero_buffer_passes_incoming_through():
-    tile = DimcTile()
+    tile = DimcTile(PrecisionMode(4))
     tile.load_memory_row(4, 0, b"\xff" * 32, 0b1111)
-    assert tile.compute_row(4, PrecisionMode(4), incoming=5) == 5
+    assert tile.compute_row(4, incoming=5) == 5
 
 
 def test_compute_single_element_identity():
-    tile = DimcTile()
+    tile = DimcTile(PrecisionMode(4))
     tile.load_input_sector(0, b"\x01" + bytes(31), 0b1111)
     tile.load_memory_row(0, 0, b"\x01" + bytes(31), 0b1111)
-    assert tile.compute_row(0, PrecisionMode(4)) == 1
+    assert tile.compute_row(0) == 1
 
 
-def _fill(tile, rng, mode):
-    """Load random input and row 0; returns the packed element vectors."""
+def _fill(tile, rng):
+    """Load random input and row 0 at the tile's precision; returns the
+    element vectors."""
+    mode = tile.mode
     n = ROW_BITS // mode.bits
     lo, hi = mode.input_range()
     x = rng.integers(lo, hi + 1, n)
@@ -106,30 +108,29 @@ def test_compute_matches_bruteforce_dot(bits, in_signed, w_signed):
     rng = np.random.default_rng(bits * 100 + in_signed * 10 + w_signed)
     mode = PrecisionMode(bits, in_signed, w_signed)
     for trial in range(10):
-        tile = DimcTile()
-        x, w = _fill(tile, rng, mode)
+        tile = DimcTile(mode)
+        x, w = _fill(tile, rng)
         incoming = int(rng.integers(-(1 << 23), 1 << 23))
         # oracle: plain python dot with unbounded ints, reduced at the end
         want = wrap_partial(sum(int(a) * int(b) for a, b in zip(x, w)) + incoming)
-        assert tile.compute_row(0, mode, incoming) == want
+        assert tile.compute_row(0, incoming) == want
 
 
 def test_incoming_offset_is_modular():
     rng = np.random.default_rng(11)
-    mode = PrecisionMode(4)
-    tile = DimcTile()
-    _fill(tile, rng, mode)
-    base = tile.compute_row(0, mode, 0)
+    tile = DimcTile(PrecisionMode(4))
+    _fill(tile, rng)
+    base = tile.compute_row(0, 0)
     for a in (1, -1, 12345, PARTIAL := (1 << 23) - 1, -PARTIAL):
-        assert tile.compute_row(0, mode, a) == wrap_partial(base + a)
+        assert tile.compute_row(0, a) == wrap_partial(base + a)
 
 
 def test_accumulator_wraps_not_saturates():
-    tile = DimcTile()
+    tile = DimcTile(PrecisionMode(4))
     tile.load_input_sector(0, b"\x01" + bytes(31), 0b1111)
     tile.load_memory_row(0, 0, b"\x01" + bytes(31), 0b1111)
     # 1*1 on top of the most positive partial wraps to the most negative
-    assert tile.compute_row(0, PrecisionMode(4), (1 << 23) - 1) == -(1 << 23)
+    assert tile.compute_row(0, (1 << 23) - 1) == -(1 << 23)
 
 
 def test_one_bit_signed_decodes_to_minus_one():
@@ -139,34 +140,34 @@ def test_one_bit_signed_decodes_to_minus_one():
 
 def test_compute_does_not_mutate_state():
     rng = np.random.default_rng(5)
-    tile = DimcTile()
-    _fill(tile, rng, PrecisionMode(2))
+    tile = DimcTile(PrecisionMode(2))
+    _fill(tile, rng)
     mem, buf = tile.memory_row(0), tile.input_buffer()
-    tile.compute_row(0, PrecisionMode(2), 7)
-    tile.compute_row_final(0, PrecisionMode(2), 7, QuantConfig(2, 4))
+    tile.compute_row(0, 7)
+    tile.compute_row_final(0, 7, QuantConfig(2, 4))
     assert tile.memory_row(0) == mem and tile.input_buffer() == buf
 
 
 def test_final_relu_clamps_negative():
-    tile = DimcTile()  # empty row: partial == incoming
-    assert tile.compute_row_final(0, PrecisionMode(4), -100, QuantConfig(0, 4)) == 0
+    tile = DimcTile(PrecisionMode(4))  # empty row: partial == incoming
+    assert tile.compute_row_final(0, -100, QuantConfig(0, 4)) == 0
 
 
 def test_final_shift_then_saturate():
-    tile = DimcTile()
-    assert tile.compute_row_final(0, PrecisionMode(4), 57, QuantConfig(3, 4)) == 7
-    assert tile.compute_row_final(0, PrecisionMode(4), 4000, QuantConfig(4, 4)) == 15
+    tile = DimcTile(PrecisionMode(4))
+    assert tile.compute_row_final(0, 57, QuantConfig(3, 4)) == 7
+    assert tile.compute_row_final(0, 4000, QuantConfig(4, 4)) == 15
 
 
 @pytest.mark.parametrize("out_bits", [1, 2, 4])
 def test_final_range(out_bits):
     rng = np.random.default_rng(out_bits)
-    tile = DimcTile()
-    _fill(tile, rng, PrecisionMode(4))
+    tile = DimcTile(PrecisionMode(4))
+    _fill(tile, rng)
     for _ in range(50):
         q = QuantConfig(int(rng.integers(0, 8)), out_bits)
         incoming = int(rng.integers(-(1 << 23), 1 << 23))
-        v = tile.compute_row_final(0, PrecisionMode(4), incoming, q)
+        v = tile.compute_row_final(0, incoming, q)
         assert 0 <= v <= (1 << out_bits) - 1 <= 15
 
 
@@ -174,8 +175,9 @@ def test_mode_validation():
     with pytest.raises(ValueError):
         PrecisionMode(3)
     assert not PrecisionMode(8).dimc_supported
-    with pytest.raises(ValueError):
-        DimcTile().compute_row(0, PrecisionMode(8))
+    for bits in (8, 16):
+        with pytest.raises(ValueError, match=f"{bits}-bit"):
+            DimcTile(PrecisionMode(bits))
 
 
 def test_pack_decode_roundtrip():
@@ -188,6 +190,38 @@ def test_pack_decode_roundtrip():
             assert np.array_equal(decode_elements(packed.tobytes(), bits, signed), vals)
 
 
+@pytest.mark.parametrize("bits", [1, 2, 4])
+@pytest.mark.parametrize("in_signed", [False, True])
+@pytest.mark.parametrize("w_signed", [False, True])
+@pytest.mark.parametrize("batch", [None, 3])
+def test_readback_returns_the_loaded_bytes(bits, in_signed, w_signed, batch):
+    # the tile stores elements; readback must pack them into exactly the
+    # bytes the mask let through, whatever the signedness
+    rng = np.random.default_rng(bits * 100 + in_signed * 10 + w_signed)
+    tile = DimcTile(PrecisionMode(bits, in_signed, w_signed))
+    lead = () if batch is None else (batch,)
+    if batch is not None:
+        tile.push_axis()
+    want_input = np.zeros(lead + (ROW_BYTES,), dtype=np.uint8)
+    want_row = np.zeros(lead + (ROW_BYTES,), dtype=np.uint8)
+    for sec, mask in ((0, 0b1111), (1, 0b0101), (3, 0b1000), (1, 0b0010)):
+        payload = rng.integers(0, 256, lead + (32,), dtype=np.uint8)
+        tile.load_input_sector(sec, payload if batch else payload.tobytes(), mask)
+        tile.load_memory_row(7, sec, payload[..., ::-1].copy(), mask)
+        for i in range(4):
+            if mask >> i & 1:
+                lo = 32 * sec + 8 * i
+                want_input[..., lo:lo + 8] = payload[..., 8 * i:8 * i + 8]
+                want_row[..., lo:lo + 8] = payload[..., ::-1][..., 8 * i:8 * i + 8]
+    assert tile.input_buffer() == want_input.tobytes()
+    assert tile.memory_row(7) == want_row.tobytes()
+    assert tile.memory_row(6) == bytes(ROW_BYTES * (batch or 1))
+    if batch is not None:
+        tile.pop_axis()
+        assert tile.input_buffer() == want_input[-1].tobytes()
+        assert tile.memory_row(7) == want_row[-1].tobytes()
+
+
 def test_batch_axis_matches_one_tile_per_entry():
     # three tiles' worth of weight rows under one batch axis, sharing one
     # input sector through broadcasting
@@ -196,18 +230,18 @@ def test_batch_axis_matches_one_tile_per_entry():
     rows = rng.integers(0, 256, (3, 32), dtype=np.uint8)
     sector_bytes = rng.integers(0, 256, 32, dtype=np.uint8)
     incoming = rng.integers(-(1 << 23), 1 << 23, 3)
-    batched = DimcTile()
+    batched = DimcTile(mode)
     batched.push_axis()
     batched.load_input_sector(2, sector_bytes, 0b1111)
     batched.load_memory_row(5, 2, rows, 0b1011)
-    partials = batched.compute_row(5, mode, incoming)
-    finals = batched.compute_row_final(5, mode, incoming, quant)
+    partials = batched.compute_row(5, incoming)
+    finals = batched.compute_row_final(5, incoming, quant)
     for n in range(3):
-        one = DimcTile()
+        one = DimcTile(mode)
         one.load_input_sector(2, sector_bytes.tobytes(), 0b1111)
         one.load_memory_row(5, 2, rows[n].tobytes(), 0b1011)
-        assert partials[n] == one.compute_row(5, mode, int(incoming[n]))
-        assert finals[n] == one.compute_row_final(5, mode, int(incoming[n]), quant)
+        assert partials[n] == one.compute_row(5, int(incoming[n]))
+        assert finals[n] == one.compute_row_final(5, int(incoming[n]), quant)
     batched.pop_axis()
     assert batched.memory_row(5) == one.memory_row(5)
     assert batched.input_buffer() == one.input_buffer()
