@@ -90,6 +90,8 @@ def load_workload(source) -> WorkloadFile:
         name = item.get("name", f"layer{idx}")
         if not isinstance(name, str):
             raise WorkloadError(f"{where}: name must be a string, got {name!r}")
+        if not name:
+            raise WorkloadError(f"{where}: name must not be empty")
         where = f"{source}: layer {idx} ({name})"
         if any(name == seen for seen, _ in entries):
             raise WorkloadError(f"{where}: duplicate layer name")
@@ -122,10 +124,22 @@ def _random_tensors(layer: mapper.LayerDescriptor, seed: int):
 def _verify_layer(name, lowering, timing, extrapolated_cycles, trace_path):
     """Functional run of the costed program against the convolution reference.
 
-    Returns an error string on mismatch, None when the layer checks out.
+    Returns an error string on mismatch, None when the layer checks out;
+    raises WorkloadError when the layer is too large to run functionally.
     """
     layer = lowering.layer
-    inputs, weights = _random_tensors(layer, _VERIFY_SEED ^ zlib.crc32(name.encode()))
+    # the two int64 tensors, then the memory image marshalled from them
+    need = (8 * layer.ich * (layer.h * layer.w + layer.och * layer.kh * layer.kw)
+            + lowering._layout.total_bytes)
+    try:
+        if need > np.iinfo(np.intp).max:
+            # numpy cannot even index it: treat it as a failed allocation
+            raise MemoryError
+        inputs, weights = _random_tensors(layer, _VERIFY_SEED ^ zlib.crc32(name.encode()))
+    except MemoryError:
+        raise WorkloadError(f"layer {name!r}: running it functionally needs {need} bytes "
+                            "for its tensors and memory image, more than can be "
+                            "allocated") from None
     trace = [] if trace_path else None
     outcome, got = sim.run_layer(lowering, timing, inputs, weights, trace=trace)
     if trace_path:

@@ -59,17 +59,20 @@ region, which each ``Repeat`` advances by its own stride per iteration.
 The timing half compiles each body once per timing table, and schedules
 each straight-line run in it once, as if nothing left by code before the
 run delayed it: every issue, completion and class gap becomes an offset
-from the run's first issue. A run then costs one check that the values and
-units it waits for from before it are ready by the offsets that first wait
-for them (a loop's later passes skip keys the body never writes), and the
-schedule applied at the cycle after the last issue; when the check fails,
-its instructions issue one by one. A run without memory image or trace is
-timing-only: iterations are run until two consecutive ones leave the
-scoreboard in the same relative state and advance time by the same
-amount, and the remaining ones are applied as a closed-form shift. A run
-with a memory image or a trace walks every iteration through the same
-compiled runs. Addresses never influence timing, so both give equal
-cycles, and ``--verify`` checks that they do.
+from the run's first issue. One per-instruction kernel writes the timing
+contract. It compiles a run by issuing it from a scoreboard at -infinity,
+recording the offset at which the run first reads each key it has not
+written. A run then costs one check that the values and units it waits for
+from before it are ready by those offsets (a loop's later passes skip keys
+the body never writes), and the schedule applied at the cycle after the
+last issue; when the check fails, the same kernel issues its instructions
+one by one. A run without memory image or trace is timing-only: iterations
+are run until two consecutive ones leave the scoreboard in the same
+relative state and advance time by the same amount, and the remaining ones
+are applied as a closed-form shift. A run with a memory image or a trace
+walks every iteration through the same compiled runs. Addresses never
+influence timing, so both give equal cycles, and ``--verify`` checks that
+they do.
 
 The data half runs a Repeat as one batch when a static pass over its body
 (``_Body``) shows that no iteration reads state another one writes: every
@@ -373,13 +376,14 @@ def _scoreboard(ins) -> tuple:
 
 
 class _Run:
-    """A straight-line run scheduled once, from a first issue that no entry
-    value delays, with every output an offset from that issue: ``gaps``
-    each class's cycles as (class, cycles), ``stores`` each key's last
-    write as (key, offset), ``peak`` the latest completion, ``tail`` the
-    last issue, ``rows`` (completion, class name, mnemonic) per instruction
-    when traced, else None; ``last`` is the class of the last issue and
-    ``counts`` the instructions per class.
+    """A straight-line run scheduled once, by the same kernel that issues it
+    when its guard fails, from a scoreboard at _NEVER so that no entry
+    value delays its first issue. Every output is an offset from that
+    issue: ``gaps`` each class's cycles as (class, cycles), ``stores`` each
+    key's last write as (key, offset), ``peak`` the latest completion,
+    ``tail`` the last issue, ``rows`` (completion, class name, mnemonic)
+    per instruction when traced, else None; ``last`` is the class of the
+    last issue and ``counts`` the instructions per class.
 
     The schedule holds exactly when the entry value of each key the run
     reads before writing is ready by the offset of its first reader.
@@ -392,61 +396,18 @@ class _Run:
                  "guards")
 
 
-def _compile_run(instructions, kinds: dict, traced: bool) -> _Run:
-    """Schedule one straight-line run, instruction by instruction, to a _Run."""
-    written = {}
-    waits = {}
-    gaps = [0] * len(CLASSES)
-    counts = [0] * len(CLASSES)
-    rows = [] if traced else None
-    offset = -1
-    peak = 0
-    last = None
-    for ins in instructions:
-        kind, reads, writes = _scoreboard(ins)
-        cls, unit, latency, interval = kinds[kind]
-        at = offset + 1
-        if interval > 1:
-            reads += (unit,)
-        entry = []
-        for key in reads:
-            done = written.get(key)
-            if done is None:
-                entry.append(key)
-            elif done > at:
-                at = done
-        for key in entry:
-            waits.setdefault(key, at)
-        if last is not None:
-            gaps[last] += at - offset
-        offset = at
-        done = at + latency
-        for key in writes:
-            written[key] = done
-        if interval > 1:
-            written[unit] = at + interval
-        if done > peak:
-            peak = done
-        if traced:
-            rows.append((done, CLASSES[cls], ins.mnemonic))
-        counts[cls] += 1
-        last = cls
-    run = _Run()
-    run.instructions = instructions
-    run.gaps = tuple((c, n) for c, n in enumerate(gaps) if n)
-    run.stores = tuple(written.items())
-    run.peak = peak
-    run.tail = offset
-    run.rows = rows
-    run.last = last
-    run.counts = tuple(counts)
-    # the compiled body turns these into the cold and warm guards
-    run.guards = waits
-    return run
+def _kinds(timing: TimingModel) -> dict:
+    """Per kind: class index, unit key, latency, issue interval."""
+    return {kind: (_CLASS_INDEX[kind], _UNIT_KEY + _KIND_INDEX[kind],
+                   timing.latency[kind], timing.issue_interval[kind])
+            for kind in INSTRUCTION_KINDS}
 
 
 # parts of a compiled body besides runs: a barrier, a loop
 _BARRIER, _LOOP = range(2)
+
+# the ready time, on a scratch scoreboard, of a key nothing has written yet
+_NEVER = -math.inf
 
 
 class _Clock:
@@ -456,19 +417,19 @@ class _Clock:
     A compiled body is a tuple of parts: a _Run (the schedule of a
     straight-line run), (_BARRIER, None, None), and (_LOOP, count, body)
     for a Repeat. ``ready`` holds, per scoreboard key, the cycle its value
-    is ready or its unit is free again. One kernel, ``_issue``, advances the
-    state over a run; the extrapolating and the walking run both go through
-    it, and it is the only writer of the trace.
+    is ready or its unit is free again. One kernel, ``_issue_each``, turns
+    instructions into issue times, class gaps, stores and completions: it
+    compiles each run on a scratch clock at _NEVER, and issues a run whose
+    guard fails. ``_issue`` advances the state over a run; the
+    extrapolating and the walking run both go through it, and it is the
+    only writer of the trace.
     """
 
-    def __init__(self, timing: TimingModel, trace, walk: bool):
-        # per kind: class index, unit key, latency, issue interval
-        self.kinds = {kind: (_CLASS_INDEX[kind], _UNIT_KEY + _KIND_INDEX[kind],
-                             timing.latency[kind], timing.issue_interval[kind])
-                      for kind in INSTRUCTION_KINDS}
+    def __init__(self, kinds: dict, trace, walk: bool = False, ready=0):
+        self.kinds = kinds
         self.trace = trace
         self.run_loop = self._walk_loop if walk else self._extrapolate_loop
-        self.ready = [0] * _SCOREBOARD_KEYS
+        self.ready = [ready] * _SCOREBOARD_KEYS
         # the extra slot takes the (meaningless) gap before the first issue
         self.cycles = [0] * (len(CLASSES) + 1)
         self.counts = [0] * len(CLASSES)
@@ -480,7 +441,6 @@ class _Clock:
         """(compiled body, keys one pass writes)."""
         parts = []
         written = set()
-        traced = self.trace is not None
         first = None
         for i, node in enumerate(nodes):
             cls = node.__class__
@@ -489,7 +449,7 @@ class _Clock:
                     first = i
                 continue
             if first is not None:
-                parts.append(_compile_run(nodes[first:i], self.kinds, traced))
+                parts.append(self._compile_run(nodes[first:i]))
                 first = None
             if cls is Barrier:
                 parts.append((_BARRIER, None, None))
@@ -498,7 +458,7 @@ class _Clock:
                 parts.append((_LOOP, node.count, body))
                 written |= inner
         if first is not None:
-            parts.append(_compile_run(nodes[first:], self.kinds, traced))
+            parts.append(self._compile_run(nodes[first:]))
         runs = [part for part in parts if part.__class__ is _Run]
         for run in runs:
             written.update(key for key, _ in run.stores)
@@ -507,6 +467,29 @@ class _Clock:
             warm = {key: at for key, at in waits.items() if key in written}
             run.guards = tuple((tuple(w), tuple(w.values())) for w in (waits, warm))
         return tuple(parts), written
+
+    def _compile_run(self, instructions) -> _Run:
+        """Schedule one straight-line run to a _Run by issuing it through
+        ``_issue_each`` on a scratch clock whose keys are all at _NEVER, so
+        no entry value delays it and the first issue is at offset 0."""
+        scratch = _Clock(self.kinds, None if self.trace is None else [], ready=_NEVER)
+        waits = {}
+        scratch._issue_each(instructions, waits)
+        counts = [0] * len(CLASSES)
+        for ins in instructions:
+            counts[_CLASS_INDEX[ins.kind]] += 1
+        run = _Run()
+        run.instructions = instructions
+        run.gaps = tuple((c, n) for c, n in enumerate(scratch.cycles[:len(CLASSES)]) if n)
+        run.stores = tuple((key, c) for key, c in enumerate(scratch.ready) if c != _NEVER)
+        run.peak = scratch.t_max
+        run.tail = scratch.t_last
+        run.rows = scratch.trace
+        run.last = scratch.pending
+        run.counts = tuple(counts)
+        # compile turns these into the cold and warm guards
+        run.guards = waits
+        return run
 
     def run(self, body, warm: bool = False) -> None:
         """Advance over a compiled body; ``warm`` when an earlier pass of
@@ -547,8 +530,10 @@ class _Clock:
         for cls, n in enumerate(run.counts):
             counts[cls] += n
 
-    def _issue_each(self, instructions) -> None:
-        """Issue instructions one by one under the timing contract."""
+    def _issue_each(self, instructions, waits: dict | None = None) -> None:
+        """Issue instructions one by one under the timing contract. With
+        ``waits``, also record for each key read while still at _NEVER the
+        issue time of its first reader."""
         ready, cycles, kinds, trace = self.ready, self.cycles, self.kinds, self.trace
         t_last, t_max, pending = self.t_last, self.t_max, self.pending
         for ins in instructions:
@@ -560,6 +545,10 @@ class _Clock:
             for key in reads:
                 if ready[key] > t:
                     t = ready[key]
+            if waits is not None:
+                for key in reads:
+                    if ready[key] == _NEVER:
+                        waits.setdefault(key, t)
             if interval > 1:
                 ready[unit] = t + interval
             cycles[pending] += t - t_last
@@ -907,7 +896,7 @@ def execute(program: Program, timing: TimingModel | None = None,
         machine = _Machine(program, memory)
         machine.run_nodes(program.body)
         vrf = machine.vrf
-    clock = _Clock(timing, trace, walk=memory is not None or trace is not None)
+    clock = _Clock(_kinds(timing), trace, walk=memory is not None or trace is not None)
     clock.run(clock.compile(program.body)[0])
     clock.finish()
     return SimOutcome(

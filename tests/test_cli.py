@@ -164,6 +164,16 @@ def test_huge_layer_simulates_timing_only(tmp_path, capsys):
     assert out.read_text().splitlines()[1].startswith(f"unit,{2 * 10**30},")
 
 
+@pytest.mark.parametrize("och", [10**12, 10**30])
+def test_huge_layer_verify_is_input_error(tmp_path, capsys, och):
+    # 10**12 kernels fail to allocate, 10**30 exceed what numpy can index;
+    # either way the functional run is refused before it starts
+    wl = write_workload(tmp_path / "wl.json", [dict(UNIT_LAYER, name="huge", och=och)])
+    assert cli.main(["simulate", wl, "--verify", "-o", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "'huge'" in err and "bytes" in err, err
+
+
 def test_builtin_resnet50_workload_parses():
     wl = cli.load_workload("resnet50")
     assert wl.network == "resnet50"
@@ -283,6 +293,10 @@ def test_workload_unknown_layer_key_is_input_error(tmp_path, capsys):
 
 def test_workload_duplicate_layer_name_is_input_error(tmp_path, capsys):
     _rejected(tmp_path, capsys, [UNIT_LAYER, UNIT_LAYER], "layer 1 (unit)", "duplicate")
+
+
+def test_workload_empty_layer_name_is_input_error(tmp_path, capsys):
+    _rejected(tmp_path, capsys, [UNIT_LAYER, dict(UNIT_LAYER, name="")], "layer 1", "empty")
 
 
 def test_workload_non_string_network_is_input_error(tmp_path, capsys):

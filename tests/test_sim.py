@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dimcsim.isa import DcF, DcP, DlI, DlM
 from dimcsim.sim import (CLASSES, INSTRUCTION_KINDS, NUM_VREGS, Barrier, Program, Repeat,
                          SimulationError, TimingModel, VClear, VLoad, VStore, _Clock,
-                         _Machine, execute)
+                         _Machine, _NEVER, _kinds, execute)
 from dimcsim.tile import DimcTile, PrecisionMode, QuantConfig
 
 
@@ -482,7 +482,7 @@ def reference_schedule(nodes, timing):
 _regs = st.integers(0, 7)
 _bits = st.integers(0, 1)
 _rows = st.integers(0, 3)
-_instructions = st.one_of(
+_straight = st.one_of(
     st.builds(VLoad, vd=_regs, addr=st.just(0), region=st.integers(0, 2)),
     st.builds(VStore, vs1=_regs, addr=st.just(0), region=st.integers(0, 2)),
     st.builds(VClear, vd=_regs),
@@ -492,8 +492,8 @@ _instructions = st.one_of(
               mask=st.integers(0, 15), m_row=_rows),
     st.builds(DcP, vs1=_regs, vd=_regs, sh=_bits, dh=_bits, m_row=_rows),
     st.builds(DcF, vs1=_regs, vd=_regs, sh=_bits, dh=_bits, m_row=_rows,
-              bidx=st.integers(0, 3)),
-    st.just(Barrier()))
+              bidx=st.integers(0, 3)))
+_instructions = st.one_of(_straight, st.just(Barrier()))
 _loop = st.builds(Repeat, count=st.integers(0, 9),
                   body=st.lists(_instructions, min_size=1, max_size=6))
 _nodes = st.one_of(_instructions, _loop, st.builds(
@@ -531,10 +531,17 @@ def test_run_whose_entry_wait_binds_matches_reference_scheduler(monkeypatch, int
     body = [VClear(2), Repeat(6, (DlI(vs1=1, nvec=4, sec=0, mask=0b1111),
                                   DcF(vs1=2, vd=3, sh=0, dh=0, m_row=0, bidx=0),
                                   VStore(3, 0)))]
+    # compiling a run drives the same kernel with ``waits``; count only the
+    # runtime fallback passes, which pass none
     one_by_one = []
     issue_each = _Clock._issue_each
-    monkeypatch.setattr(_Clock, "_issue_each", lambda clock, instructions: (
-        one_by_one.append(len(instructions)), issue_each(clock, instructions)))
+
+    def counted(clock, instructions, waits=None):
+        if waits is None:
+            one_by_one.append(len(instructions))
+        issue_each(clock, instructions, waits)
+
+    monkeypatch.setattr(_Clock, "_issue_each", counted)
     total, cycles, counts, trace = reference_schedule(body, timing)
     assert total == 2 + 5 * interval + 4 + 8
     walked = execute(prog(body), timing, bytearray(8))
@@ -547,3 +554,33 @@ def test_run_whose_entry_wait_binds_matches_reference_scheduler(monkeypatch, int
         assert out.cycles_by_class == cycles
         assert out.counts_by_class == counts
     assert traced_rows == trace
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(run=st.lists(_straight, min_size=1, max_size=12),
+       timing=st.builds(
+           TimingModel, memory_latency=st.integers(1, 16),
+           latency=st.dictionaries(st.sampled_from(INSTRUCTION_KINDS), st.integers(1, 16)),
+           issue_interval=st.dictionaries(st.sampled_from(INSTRUCTION_KINDS),
+                                          st.integers(1, 64))))
+def test_cold_guard_offsets_are_exact(run, timing):
+    # an entry key ready exactly at its guard offset leaves the compiled
+    # schedule as it is; ready one cycle later, it delays the run
+    kinds = _kinds(timing)
+    (compiled,), _ = _Clock(kinds, []).compile(tuple(run))
+
+    def issued(key, ready):
+        clock = _Clock(kinds, [], ready=_NEVER)
+        clock.ready[key] = ready
+        clock._issue_each(run)
+        return clock
+
+    for key, offset in zip(*compiled.guards[0]):
+        clock = issued(key, offset)
+        # a key the run never writes keeps the offset it was given
+        stores = {k: c for k, c in enumerate(clock.ready) if c != _NEVER}
+        assert stores == {key: offset, **dict(compiled.stores)}
+        assert (clock.t_max, clock.t_last) == (compiled.peak, compiled.tail)
+        assert tuple((c, n) for c, n in enumerate(clock.cycles[:3]) if n) == compiled.gaps
+        assert clock.trace == compiled.rows
+        assert issued(key, offset + 1).trace != compiled.rows
