@@ -27,7 +27,7 @@ _VERIFY_SEED = 0x0D13C
 
 
 class WorkloadError(ValueError):
-    """The workload file cannot be parsed; names the offending entry."""
+    """An input error; names the offending file, entry or option."""
 
 
 @dataclass(frozen=True)
@@ -65,16 +65,19 @@ def _parse_precision(obj, where: str) -> PrecisionMode:
         raise WorkloadError(f"{where}: {exc}") from None
 
 
+def _read_json(source, path):
+    """The document in a UTF-8 JSON file; any failure names ``source``."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise WorkloadError(f"{source}: not a valid JSON file ({exc})") from None
+
+
 def load_workload(source) -> WorkloadFile:
     """Load a workload from a JSON path or a builtin name."""
-    if isinstance(source, str) and source in BUILTIN_WORKLOADS:
-        text = resources.files("dimcsim.workloads").joinpath(f"{source}.json").read_text()
-    else:
-        text = Path(source).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise WorkloadError(f"{source}: not valid JSON ({exc})") from None
+    builtin = isinstance(source, str) and source in BUILTIN_WORKLOADS
+    doc = _read_json(source, resources.files("dimcsim.workloads") / f"{source}.json"
+                     if builtin else Path(source))
     if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
         raise WorkloadError(f"{source}: expected an object with a 'layers' list")
     _check_keys(doc, ("network", "default_precision", "layers"), str(source))
@@ -96,6 +99,9 @@ def load_workload(source) -> WorkloadFile:
         if any(name == seen for seen, _ in entries):
             raise WorkloadError(f"{where}: duplicate layer name")
         _check_keys(item, _LAYER_KEYS, where)
+        missing = [key for key in ("ich", "och") if key not in item]
+        if missing:
+            raise WorkloadError(f"{where}: missing keys {missing}")
         prec = default_prec
         if "precision" in item:
             prec = _parse_precision(item["precision"], where)
@@ -157,9 +163,18 @@ def _verify_layer(name, lowering, timing, extrapolated_cycles, trace_path):
 
 
 def _timing_model(args) -> sim.TimingModel:
-    timing = sim.TimingModel.from_json_file(args.timing) if args.timing else sim.TimingModel()
+    timing = sim.TimingModel()
+    if args.timing:
+        doc = _read_json(args.timing, Path(args.timing))
+        try:
+            timing = sim.TimingModel.from_dict(doc)
+        except ValueError as exc:
+            raise WorkloadError(f"{args.timing}: {exc}") from None
     if args.freq is not None:
-        timing = dataclasses.replace(timing, freq_hz=args.freq)
+        try:
+            timing = dataclasses.replace(timing, freq_hz=args.freq)
+        except ValueError as exc:
+            raise WorkloadError(f"--freq: {exc}") from None
     return timing
 
 
@@ -239,27 +254,29 @@ def sweep_layer(mode: str, point: int, size: int) -> mapper.LayerDescriptor:
 
 def run_sweep(mode: str, points, size: int = 16,
               timing: sim.TimingModel | None = None):
-    """Simulate the sweep family; returns rows shaped like SWEEP_COLUMNS."""
+    """Simulate the sweep family; returns rows shaped like SWEEP_COLUMNS.
+    A point that fails raises WorkloadError naming it and ``--size``."""
     timing = timing if timing is not None else sim.TimingModel()
     rows = []
     for point in points:
-        layer = sweep_layer(mode, point, size)
-        plan = mapper.plan_mapping(layer)
-        outcome = sim.execute(mapper.lower(layer, plan).program, timing)
-        base = baseline.baseline_cycles(layer)
-        rows.append((point, plan.tiling_factor, plan.group_count,
-                     outcome.total_cycles, base,
-                     metrics.speedup(base, outcome.total_cycles),
-                     metrics.gops(mapper.ops_count(layer), outcome.total_cycles,
-                                  timing.freq_hz)))
+        try:
+            layer = sweep_layer(mode, point, size)
+            plan = mapper.plan_mapping(layer)
+            outcome = sim.execute(mapper.lower(layer, plan).program, timing)
+            base = baseline.baseline_cycles(layer)
+            rows.append((point, plan.tiling_factor, plan.group_count,
+                         outcome.total_cycles, base,
+                         metrics.speedup(base, outcome.total_cycles),
+                         metrics.gops(mapper.ops_count(layer), outcome.total_cycles,
+                                      timing.freq_hz)))
+        except (mapper.MappingError, metrics.MetricError) as exc:
+            raise WorkloadError(f"sweep point {point} at --size {size}: {exc}") from None
     return rows
 
 
 def cmd_sweep(args) -> int:
     points = args.points or (_SWEEP_TILING_POINTS if args.mode == "tiling"
                              else _SWEEP_GROUPING_POINTS)
-    if any(p < 1 for p in points):
-        raise WorkloadError(f"sweep points must be >= 1, got {points}")
     rows = run_sweep(args.mode, points, args.size, _timing_model(args))
     metrics.write_sweep_csv(rows, args.output)
     print(f"{args.mode} sweep: {len(rows)} point(s) -> {args.output}")
@@ -297,11 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim_p.add_argument("--area-ratio", type=float, default=metrics.DEFAULT_AREA_RATIO,
                        help="baseline/extended area ratio (default %(default)s)")
     sim_p.add_argument("--verify", action="store_true",
-                       help="also run each layer functionally against the "
-                            "convolution reference and check its cycles walked over "
-                            "every iteration against the extrapolated ones (data runs "
-                            "batched; a timing run that a value from before it delays "
-                            "issues per instruction)")
+                       help="also run each layer functionally against the convolution "
+                            "reference, and check its walked cycles against the "
+                            "extrapolated ones")
     sim_p.add_argument("--trace", metavar="DIR",
                        help="write per-layer event traces (implies full execution)")
     sim_p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -338,8 +353,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (WorkloadError, mapper.MappingError, isa.AsmError, isa.DecodeError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

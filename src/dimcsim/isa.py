@@ -315,8 +315,15 @@ def format_instruction(instr: CustomInstruction) -> str:
 
 
 def disassemble(words) -> str:
-    """Disassemble a word sequence into canonical text, one per line."""
-    return "\n".join(format_instruction(decode(w)) for w in words) + "\n"
+    """Disassemble a word sequence into canonical text, one per line; a
+    DecodeError names the bad word's index and byte offset."""
+    lines = []
+    for i, word in enumerate(words):
+        try:
+            lines.append(format_instruction(decode(word)))
+        except DecodeError as exc:
+            raise type(exc)(f"word {i} (byte offset {4 * i}): {exc}") from None
+    return "\n".join(lines) + "\n"
 
 
 def pack_words(words) -> bytes:

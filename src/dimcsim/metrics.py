@@ -9,7 +9,9 @@ CSV and JSON output. The per-layer CSV column order is
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 from dataclasses import asdict, dataclass
 
 # Back-solved from the published 217x speedup / 50x area-normalized pair;
@@ -38,7 +40,13 @@ def gops(ops: int, cycles: int, freq_hz: float) -> float:
         raise MetricError(f"rate undefined for cycles={cycles}")
     if freq_hz <= 0:
         raise MetricError(f"rate undefined for freq_hz={freq_hz}")
-    return ops * freq_hz / cycles / 1e9
+    try:
+        rate = ops * freq_hz / cycles / 1e9
+    except OverflowError:  # ops too large for a float
+        rate = math.inf
+    if not math.isfinite(rate):
+        raise MetricError(f"gops of {ops} ops in {cycles} cycles at {freq_hz} Hz is not finite")
+    return rate
 
 
 def speedup(baseline_cycles: int, dimc_cycles: int) -> float:
@@ -55,7 +63,11 @@ def ans(speedup_value: float, area_ratio: float) -> float:
     """Area-normalized speedup: speedup scaled by baseline/extended area."""
     if area_ratio <= 0:
         raise MetricError(f"area ratio must be positive, got {area_ratio}")
-    return speedup_value * area_ratio
+    value = speedup_value * area_ratio
+    if not math.isfinite(value):
+        raise MetricError(f"ans of speedup {speedup_value} at area ratio {area_ratio} "
+                          "is not finite")
+    return value
 
 
 def peak_gops(bits: int, freq_hz: float) -> float:
@@ -86,14 +98,18 @@ def build_report(layer_id: str, ops_total: int, outcome, baseline: int,
     """Assemble a PerfReport from a simulation outcome and baseline cost."""
     fracs = outcome.class_fractions()
     sp = speedup(baseline, outcome.total_cycles)
+    try:
+        rate, normalized = gops(ops_total, outcome.total_cycles, freq_hz), ans(sp, area_ratio)
+    except MetricError as exc:
+        raise MetricError(f"layer {layer_id!r}: {exc}") from None
     return PerfReport(
         layer=layer_id,
         ops=ops_total,
         dimc_cycles=outcome.total_cycles,
         baseline_cycles=baseline,
-        gops=gops(ops_total, outcome.total_cycles, freq_hz),
+        gops=rate,
         speedup=sp,
-        ans=ans(sp, area_ratio),
+        ans=normalized,
         area_ratio=area_ratio,
         frac_computing=fracs["computing"],
         frac_loading=fracs["loading"],
@@ -101,16 +117,17 @@ def build_report(layer_id: str, ops_total: int, outcome, baseline: int,
     )
 
 
-def _csv_cell(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+def _write_csv(path, columns, rows) -> None:
+    """Floats as their repr; a name holding a comma or quote is quoted."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def write_report_csv(reports, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(REPORT_COLUMNS) + "\n")
-        for rep in reports:
-            row = asdict(rep)
-            fh.write(",".join(_csv_cell(row[c]) for c in REPORT_COLUMNS) + "\n")
+    _write_csv(path, REPORT_COLUMNS,
+               ([getattr(rep, c) for c in REPORT_COLUMNS] for rep in reports))
 
 
 def write_report_json(reports, path, *, header: dict | None = None,
@@ -126,7 +143,4 @@ def write_report_json(reports, path, *, header: dict | None = None,
 
 def write_sweep_csv(rows, path) -> None:
     """rows: iterables matching SWEEP_COLUMNS."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(v) for v in row) + "\n")
+    _write_csv(path, SWEEP_COLUMNS, rows)

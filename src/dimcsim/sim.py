@@ -85,21 +85,19 @@ become gathers and scatters at ``addr + offset + n * stride``, the tile
 loads and computes run on arrays, and the state after the Repeat is the
 last iteration's. State a body leaves alone keeps an axis of size 1, so a
 position loop nested in a batched group loop reads each group's weight
-rows without copying them. Repeat(1) bodies are inlined into their parent,
-so a layer with one output position batches over its kernel groups. A body
-that fails either check is walked iteration by iteration through the same
-code, where an out-of-bounds access raises with the pc the unrolled
-program would report. Every other fault is static, and ``Program``
-rejects it when it is built. One tile load or compute call therefore
-covers a whole batch.
+rows without copying them. A body that fails either check is walked
+iteration by iteration through the same code, where an out-of-bounds
+access raises with the pc the unrolled program would report. Every other
+fault is static, and ``Program`` rejects it when it is built, in the same
+pass that counts its instructions per class; ``execute`` reports those
+counts, so neither half counts instructions.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from operator import sub
+from operator import add, sub
 
 import numpy as np
 
@@ -113,15 +111,9 @@ CLASSES = ("computing", "loading", "storing")
 
 INSTRUCTION_KINDS = ("vload", "vstore", "varith", "dl.i", "dl.m", "dc.p", "dc.f")
 
-_CLASS_BY_KIND = {
-    "vload": "loading",
-    "dl.i": "loading",
-    "dl.m": "loading",
-    "vstore": "storing",
-    "varith": "computing",
-    "dc.p": "computing",
-    "dc.f": "computing",
-}
+_CLASS_BY_KIND = {"varith": "computing", "dc.p": "computing", "dc.f": "computing",
+                  "vload": "loading", "dl.i": "loading", "dl.m": "loading",
+                  "vstore": "storing"}
 _CLASS_INDEX = {kind: CLASSES.index(cls) for kind, cls in _CLASS_BY_KIND.items()}
 _KIND_INDEX = {kind: i for i, kind in enumerate(INSTRUCTION_KINDS)}
 
@@ -213,16 +205,18 @@ class Program:
     """An instruction stream plus the tile configuration it assumes.
 
     Construction rejects any instruction that cannot execute, with
-    SimulationError and the pc the unrolled program reaches it at.
+    SimulationError and the pc the unrolled program reaches it at, and
+    counts the unrolled program's instructions per class in ``counts``.
     """
 
     body: tuple
     mode: PrecisionMode = PrecisionMode()
     quant: QuantConfig = QuantConfig()
+    counts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "body", tuple(self.body))
-        _check(self.body, 0)
+        object.__setattr__(self, "counts", tuple(_check(self.body, 0)))
 
 
 def _check_cycles(name: str, value) -> None:
@@ -280,11 +274,6 @@ class TimingModel:
             raise ValueError(f"unknown timing keys: {sorted(unknown)}")
         return cls(**d)
 
-    @classmethod
-    def from_json_file(cls, path) -> "TimingModel":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 @dataclass
 class SimOutcome:
@@ -329,21 +318,24 @@ def _fault(ins) -> str | None:
     return None
 
 
-def _check(nodes, pc: int) -> int:
+def _check(nodes, pc: int) -> list:
     """Raise on the first instruction in ``nodes`` that cannot execute, with
     the pc the unrolled program reaches it at (the first node's is ``pc``);
-    returns the pc after one pass. Repeat(0) bodies never execute."""
+    returns the instructions per class one pass executes. Repeat(0) bodies
+    never execute."""
+    counts = [0] * len(CLASSES)
     for node in nodes:
         cls = node.__class__
         if cls is Repeat:
             if node.count:
-                pc += node.count * (_check(node.body, pc) - pc)
+                inner = _check(node.body, pc + sum(counts))
+                counts = [n + node.count * m for n, m in zip(counts, inner)]
         elif cls is not Barrier:
             fault = _fault(node)
             if fault:
-                raise SimulationError(fault, pc=pc)
-            pc += 1
-    return pc
+                raise SimulationError(fault, pc=pc + sum(counts))
+            counts[_CLASS_INDEX[node.kind]] += 1
+    return counts
 
 
 # -- timing half ---------------------------------------------------------------
@@ -383,7 +375,7 @@ class _Run:
     key's last write as (key, offset), ``peak`` the latest completion,
     ``tail`` the last issue, ``rows`` (completion, class name, mnemonic)
     per instruction when traced, else None; ``last`` is the class of the
-    last issue and ``counts`` the instructions per class.
+    last issue.
 
     The schedule holds exactly when the entry value of each key the run
     reads before writing is ready by the offset of its first reader.
@@ -392,8 +384,7 @@ class _Run:
     loop body never writes: the first pass already waited for it.
     """
 
-    __slots__ = ("instructions", "gaps", "stores", "peak", "tail", "rows", "last", "counts",
-                 "guards")
+    __slots__ = ("instructions", "gaps", "stores", "peak", "tail", "rows", "last", "guards")
 
 
 def _kinds(timing: TimingModel) -> dict:
@@ -432,7 +423,6 @@ class _Clock:
         self.ready = [ready] * _SCOREBOARD_KEYS
         # the extra slot takes the (meaningless) gap before the first issue
         self.cycles = [0] * (len(CLASSES) + 1)
-        self.counts = [0] * len(CLASSES)
         self.pending = len(CLASSES)
         self.t_last = -1
         self.t_max = 0
@@ -475,9 +465,6 @@ class _Clock:
         scratch = _Clock(self.kinds, None if self.trace is None else [], ready=_NEVER)
         waits = {}
         scratch._issue_each(instructions, waits)
-        counts = [0] * len(CLASSES)
-        for ins in instructions:
-            counts[_CLASS_INDEX[ins.kind]] += 1
         run = _Run()
         run.instructions = instructions
         run.gaps = tuple((c, n) for c, n in enumerate(scratch.cycles[:len(CLASSES)]) if n)
@@ -486,7 +473,6 @@ class _Clock:
         run.tail = scratch.t_last
         run.rows = scratch.trace
         run.last = scratch.pending
-        run.counts = tuple(counts)
         # compile turns these into the cold and warm guards
         run.guards = waits
         return run
@@ -511,7 +497,7 @@ class _Clock:
         """Issue a straight-line run: its compiled schedule, shifted to the
         cycle after the last issue, when the guard shows that no entry value
         binds, else its instructions one by one."""
-        ready, cycles, counts = self.ready, self.cycles, self.counts
+        ready, cycles = self.ready, self.cycles
         t = self.t_last + 1
         keys, offsets = run.guards[warm]
         if keys and max(map(sub, map(ready.__getitem__, keys), offsets)) > t:
@@ -527,8 +513,6 @@ class _Clock:
             self.pending = run.last
             if run.rows is not None:
                 self.trace.extend([(t + c, name, mnemonic) for c, name, mnemonic in run.rows])
-        for cls, n in enumerate(run.counts):
-            counts[cls] += n
 
     def _issue_each(self, instructions, waits: dict | None = None) -> None:
         """Issue instructions one by one under the timing contract. With
@@ -571,35 +555,30 @@ class _Clock:
 
     def _extrapolate_loop(self, count: int, body) -> None:
         """Run iterations until two consecutive ones leave the scoreboard in
-        the same relative state and advance time and counters by the same
-        amounts; the rest is then the same shift, applied in closed form."""
+        the same relative state and advance time and class cycles by the
+        same amounts; the rest is then the same shift, applied in closed
+        form. Every pass ends on the same class, so ``pending`` needs no
+        check."""
         previous = None
         for done in range(1, count + 1):
-            t0, cycles0, counts0 = self.t_last, self.cycles[:len(CLASSES)], self.counts[:]
+            t0, cycles0 = self.t_last, self.cycles[:len(CLASSES)]
             self.run(body, done > 1)
             if done == count:
                 return
             t = self.t_last
+            dt, dcycles = t - t0, tuple(c - c0 for c, c0 in zip(self.cycles, cycles0))
             state = ([(k, v - t) for k, v in enumerate(self.ready) if v > t],
-                     self.t_max - t, self.pending,
-                     t - t0,
-                     tuple(c - c0 for c, c0 in zip(self.cycles, cycles0)),
-                     tuple(n - n0 for n, n0 in zip(self.counts, counts0)))
+                     self.t_max - t, dt, dcycles)
             if state == previous:
-                self._shift(count - done, state[3:])
+                remaining = count - done
+                shift = remaining * dt
+                self.t_last += shift
+                self.t_max += shift
+                self.ready[:] = [v + shift for v in self.ready]
+                for c, dc in enumerate(dcycles):
+                    self.cycles[c] += remaining * dc
                 return
             previous = state
-
-    def _shift(self, remaining: int, delta) -> None:
-        dt, dcycles, dcounts = delta
-        shift = remaining * dt
-        self.t_last += shift
-        self.t_max += shift
-        self.ready[:] = [v + shift for v in self.ready]
-        for c, dc in enumerate(dcycles):
-            self.cycles[c] += remaining * dc
-        for c, dn in enumerate(dcounts):
-            self.counts[c] += remaining * dn
 
 
 # -- data half -----------------------------------------------------------------
@@ -646,12 +625,11 @@ def _data_effects(ins) -> tuple:
 class _Body:
     """What the data half knows about one body before running it.
 
-    ``items`` is the body with every Repeat(1) inlined and every Repeat(0)
-    dropped; ``length`` the instructions one pass executes. One pass reads
-    the resources in ``exposed`` before writing them and writes those in
-    ``written``. ``accesses`` lists each vload/vstore with the loops that
-    enclose it inside the body, as (is_store, addr, region, ((count,
-    stride), ...)). ``first`` is the class of the first item one pass
+    One pass reads the resources in ``exposed`` before writing them and
+    writes those in ``written``; a Repeat(0) in it does neither.
+    ``accesses`` lists each vload/vstore with the loops that enclose it
+    inside the body, as (is_store, addr, region, ((count, stride), ...)).
+    ``first`` is the class of the first instruction or barrier one pass
     executes. The body's passes are ``independent`` when no pass reads what
     another writes: nothing it reads before writing is written at all, and
     it does not open with a dc.f (whose packing would depend on the
@@ -659,9 +637,7 @@ class _Body:
     """
 
     def __init__(self, nodes, analyze):
-        self.items = []
         self.accesses = []
-        self.length = 0
         self.exposed = self.written = 0
         self.first = None
         for node in nodes:
@@ -670,26 +646,17 @@ class _Body:
                 if not node.count:
                     continue
                 inner = analyze(node.body)
-                if node.count == 1:
-                    self.items.extend(inner.items)
-                    self.accesses.extend(inner.accesses)
-                else:
-                    self.items.append(node)
-                    self.accesses.extend(
-                        (store, addr, region, ((node.count, node.strides[region]),) + loops)
-                        for store, addr, region, loops in inner.accesses)
-                self.length += node.count * inner.length
+                self.accesses.extend(
+                    (store, addr, region, ((node.count, node.strides[region]),) + loops)
+                    for store, addr, region, loops in inner.accesses)
                 reads, writes = inner.exposed, inner.written
                 cls = inner.first
             elif cls is Barrier:
-                self.items.append(node)
                 reads = writes = 0
             else:
-                self.items.append(node)
                 reads, writes = _data_effects(node)
                 if cls is VLoad or cls is VStore:
                     self.accesses.append((cls is VStore, node.addr, node.region, ()))
-                self.length += 1
             if self.first is None:
                 self.first = cls
             self.exposed |= reads & ~self.written
@@ -734,29 +701,27 @@ class _Machine:
         return body
 
     def run_nodes(self, nodes) -> None:
-        for item in self.analyze(nodes).items:
-            if item.__class__ is Repeat:
-                self._repeat(item)
-            else:
-                self.step(item)
+        for node in nodes:
+            if node.__class__ is not Repeat:
+                self.step(node)
+            elif node.count:
+                self._repeat(node)
 
     # -- loops -------------------------------------------------------------
 
     def _repeat(self, node: Repeat) -> None:
         body = self.analyze(node.body)
-        pc = self.pc
         if body.independent and (self.depth or self._commutes(node, body)):
+            # the batch walks one pass; the unrolled program walks count
+            pc = self.pc
             self._run_batched(node)
+            self.pc = pc + node.count * (self.pc - pc)
         else:
+            saved = self.offsets
             for _ in range(node.count):
                 self.run_nodes(node.body)
-                self._advance(node, 1)
-            self._advance(node, -node.count)
-        self.pc = pc + node.count * body.length
-
-    def _advance(self, node: Repeat, times: int) -> None:
-        for region, stride in enumerate(node.strides):
-            self.offsets[region] = self.offsets[region] + times * stride
+                self.offsets = list(map(add, self.offsets, node.strides))
+            self.offsets = saved
 
     def _run_batched(self, node: Repeat) -> None:
         """All iterations as one pass over a new innermost batch axis; the
@@ -784,10 +749,9 @@ class _Machine:
         for store, addr, region, loops in body.accesses:
             starts = np.array([self.offsets[region] + addr])
             for count, stride in ((node.count, node.strides[region]),) + loops:
-                if stride:
+                # a load the loop does not move needs checking only once
+                if stride or store:
                     starts = (starts[:, None] + np.arange(count) * stride).ravel()
-                elif store:
-                    return False
             (stores if store else loads).append(starts)
         if not loads and not stores:
             return True
@@ -902,7 +866,7 @@ def execute(program: Program, timing: TimingModel | None = None,
     return SimOutcome(
         total_cycles=clock.t_max,
         cycles_by_class=dict(zip(CLASSES, clock.cycles)),
-        counts_by_class=dict(zip(CLASSES, clock.counts)),
+        counts_by_class=dict(zip(CLASSES, program.counts)),
         vrf=vrf,
         memory=memory,
     )

@@ -1,10 +1,15 @@
+import csv
+import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import dimcsim
-from dimcsim import cli, mapper, metrics, sim
+from dimcsim import cli, isa, mapper, metrics, sim
 
 # sha256 of the default-table reports, as pinned in ROADMAP.md
 REPORT_SHA256 = {
@@ -338,3 +343,253 @@ def test_binding_table_reports_match_pinned_sha256(tmp_path):
                      "--trace", str(tdir)]) == 0
     trace = (tdir / "untiled.csv").read_bytes()
     assert hashlib.sha256(trace).hexdigest() == BINDING_SHA256["untiled"]
+
+
+# -- input files, non-finite metrics and named entries ------------------------
+
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("which, content", [
+    ("workload", DEEP.encode()),
+    ("timing", DEEP.encode()),
+    ("timing", b'{"latency":\n'),
+    ("workload", b"\xff\xfe{}"),
+    ("timing", b"\xff\xfe{}"),
+], ids=["deep-workload", "deep-timing", "truncated-timing", "latin-workload", "latin-timing"])
+def test_unreadable_json_file_is_input_error_naming_it(tmp_path, capsys, which, content):
+    wl = write_workload(tmp_path / "wl.json", [UNIT_LAYER])
+    bad = tmp_path / f"bad-{which}.json"
+    bad.write_bytes(content)
+    argv = ["simulate", wl, "--timing", str(bad)] if which == "timing" else ["simulate", str(bad)]
+    assert cli.main(argv + ["-o", str(tmp_path / "r.csv")]) == 2
+    assert f"error: {bad}: not a valid JSON file" in capsys.readouterr().err
+
+
+def test_timing_table_error_names_the_file(tmp_path, capsys):
+    table = tmp_path / "timing.json"
+    table.write_text(json.dumps([1]))
+    assert cli.main(["sweep", "tiling", "--points", "32", "--timing", str(table),
+                     "-o", str(tmp_path / "s.csv")]) == 2
+    assert f"error: {table}: timing table must be a JSON object" in capsys.readouterr().err
+
+
+def test_workload_missing_channel_key_is_input_error(tmp_path, capsys):
+    layer = {k: v for k, v in UNIT_LAYER.items() if k != "ich"}
+    _rejected(tmp_path, capsys, [layer], "layer 0 (unit)", "missing keys ['ich']")
+
+
+@pytest.mark.parametrize("option, layer", [
+    (["--freq", "1e308"], UNIT_LAYER),
+    (["--area-ratio", "1e308"], UNTILED_LAYER),
+    ([], dict(UNIT_LAYER, h=10**160, w=10**160)),
+], ids=["freq", "area-ratio", "huge-layer"])
+def test_non_finite_metric_is_input_error_naming_the_layer(tmp_path, capsys, option, layer):
+    wl = write_workload(tmp_path / "wl.json", [layer])
+    out = tmp_path / "r.csv"
+    assert cli.main(["simulate", wl, "-o", str(out)] + option) == 2
+    assert f"error: layer {layer['name']!r}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_sweep_metric_names_the_point(tmp_path, capsys):
+    assert cli.main(["sweep", "grouping", "--points", "16,32", "--freq", "1e308",
+                     "-o", str(tmp_path / "s.csv")]) == 2
+    assert "error: sweep point 16 at --size 16: gops" in capsys.readouterr().err
+
+
+def test_layer_name_with_a_comma_is_quoted_in_the_report(tmp_path):
+    wl = write_workload(tmp_path / "wl.json", [dict(UNIT_LAYER, name='a,"b"')])
+    out = tmp_path / "r.csv"
+    assert cli.main(["simulate", wl, "-o", str(out)]) == 0
+    assert out.read_text().splitlines()[1].startswith('"a,""b""",2,')
+
+
+def test_disasm_names_the_bad_word(tmp_path, capsys):
+    words = isa.assemble("dc.p vs1=1 vd=2 sh=0 dh=0 m_row=3\n") + [0xFFFFFFFF]
+    binary = tmp_path / "prog.bin"
+    binary.write_bytes(isa.pack_words(words))
+    assert cli.main(["disasm", str(binary)]) == 2
+    assert "error: word 1 (byte offset 4): opcode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--size", "0"], "sweep point 32 at --size 0: h must be >= 1"),
+    (["--points", "32,3000"], "sweep point 3000 at --size 16: kernel needs 47 rows"),
+], ids=["size", "point"])
+def test_sweep_error_names_the_option_and_point(tmp_path, capsys, argv, expected):
+    assert cli.main(["sweep", "tiling", *argv, "-o", str(tmp_path / "s.csv")]) == 2
+    assert f"error: {expected}" in capsys.readouterr().err
+
+
+# -- malformed input as a property --------------------------------------------
+#
+# One mutation of a valid input per example, run timing-only through
+# cli.main: a workload or timing document edited at one path (a value
+# replaced, a key deleted or added), the file replaced by raw bytes or cut
+# short, or one option of the simulate or sweep argv replaced.
+
+@dataclasses.dataclass(frozen=True)
+class Nested:
+    """A value nested ``depth`` lists deep, written into the file as text."""
+
+    depth: int
+
+
+@dataclasses.dataclass(frozen=True)
+class Cut:
+    """The valid file cut after ``keep`` characters."""
+
+    keep: int
+
+
+DELETE = "<delete the key>"
+
+VALID_WORKLOAD = {"network": "prop", "default_precision": {"bits": 4, "signed": True},
+                  "layers": [dict(UNIT_LAYER), dict(UNTILED_LAYER)]}
+VALID_TABLE = {"memory_latency": 8, "freq_hz": 5e8, "latency": {"dc.p": 4, "vload": 8},
+               "issue_interval": {"dc.f": 2}}
+FLAGS = {"simulate": ("--freq", "--area-ratio", "--format"),
+         "sweep": ("mode", "--points", "--size", "--freq")}
+
+
+def _paths(doc, prefix=()):
+    """Every path into a document, plus a new key in every object."""
+    yield prefix
+    if isinstance(doc, dict):
+        yield prefix + ("extra",)
+        for key, value in doc.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _paths(value, prefix + (i,))
+
+
+def _edited(doc, path, value):
+    """The document as JSON text, with ``value`` at ``path``."""
+    doc = json.loads(json.dumps(doc))
+    if not path:
+        doc = value
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value == DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    nested = []
+
+    def placeholder(value):
+        nested.append(value.depth)
+        return "<nested>"
+
+    text = json.dumps(doc, default=placeholder)
+    for depth in nested:
+        text = text.replace('"<nested>"', "[" * depth + "]" * depth, 1)
+    return text
+
+
+_values = st.one_of(
+    st.booleans(), st.none(), st.integers(-2**70, 2**70),
+    st.sampled_from([-1, 0, 2**63, 10**160, -10**160]),
+    st.sampled_from([1e308, -1e308, 0.5, 1e-320, math.inf, math.nan]),
+    st.text(max_size=4), st.sampled_from(["", "../up", 'a,"b"', "é\n", "x" * 200]),
+    st.lists(st.integers(0, 4), max_size=2),
+    st.dictionaries(st.sampled_from(["dc.p", "bits", "h"]), st.integers(-1, 4), max_size=2),
+    st.builds(Nested, st.sampled_from([3, 200_000])),
+    st.just(DELETE))
+_whole_file = st.one_of(st.builds(Cut, st.integers(0, 60)),
+                        st.sampled_from([b"", b"\xff\xfe{}", b"{}", b"[]", b"null"]))
+_options = st.one_of(
+    st.sampled_from(["1e308", "-1", "0", "1", "nan", "inf", "abc", "", "3000", "32,3000",
+                     "8,,8", "1e-320", "9" * 200, "tiling", "grouping", "json"]),
+    st.integers(-2**70, 2**70).map(str), st.floats().map(repr))
+
+
+@st.composite
+def _mutations(draw):
+    target = draw(st.sampled_from(["workload", "timing", "argv"]))
+    command = "simulate" if target == "workload" else draw(st.sampled_from(list(FLAGS)))
+    if target == "argv":
+        return command, target, draw(st.sampled_from(FLAGS[command])), draw(_options)
+    doc = VALID_WORKLOAD if target == "workload" else VALID_TABLE
+    if draw(st.integers(0, 9)) == 0:
+        return command, target, (), draw(_whole_file)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    value = draw(_values)
+    if value == DELETE and (not path or path[-1] == "extra"):
+        value = None
+    return command, target, path, value
+
+
+def _cells(path, fmt):
+    """The report's numeric cells."""
+    if fmt == "json":
+        return [v for row in json.loads(path.read_text())["layers"]
+                for k, v in row.items() if k != "layer"]
+    rows = list(csv.reader(path.read_text().splitlines()))
+    width = len(rows[0])
+    assert all(len(row) == width for row in rows)
+    # a simulate report leads with the layer name
+    skip = 1 if rows[0][0] == "layer" else 0
+    return [float(cell) for row in rows[1:] for cell in row[skip:]]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=_mutations())
+@example(mutation=("simulate", "workload", (), Nested(200_000)))
+@example(mutation=("simulate", "timing", (), Cut(12)))
+@example(mutation=("simulate", "workload", (), b"\xff\xfe{}"))
+@example(mutation=("simulate", "argv", "--freq", "1e308"))
+@example(mutation=("simulate", "argv", "--area-ratio", "1e308"))
+@example(mutation=("simulate", "workload", ("layers", 1),
+                   dict(UNTILED_LAYER, h=10**160, w=10**160)))
+@example(mutation=("sweep", "argv", "--size", "0"))
+@example(mutation=("sweep", "argv", "--points", "32,3000"))
+@example(mutation=("simulate", "workload", ("layers", 0, "ich"), DELETE))
+@example(mutation=("simulate", "workload", ("layers", 0, "name"), 'a,"b"'))
+def test_malformed_input_is_an_input_error_naming_the_entry(tmp_path, capsys, mutation):
+    command, target, where, value = mutation
+    files = {"workload": tmp_path / "wl.json", "timing": tmp_path / "timing.json"}
+    for name, doc in (("workload", VALID_WORKLOAD), ("timing", VALID_TABLE)):
+        text = json.dumps(doc)
+        if name == target and where == () and isinstance(value, bytes):
+            files[name].write_bytes(value)
+        elif name == target and where == () and isinstance(value, Cut):
+            files[name].write_text(text[:value.keep])
+        else:
+            files[name].write_text(_edited(doc, where, value) if name == target else text)
+    out = tmp_path / "report"
+    out.unlink(missing_ok=True)
+    options = {"--freq": None, "--area-ratio": None, "--format": "csv"}
+    if command == "simulate":
+        argv = ["simulate", str(files["workload"])]
+    else:
+        options = {"mode": "tiling", "--points": "32,64", "--size": "4", "--freq": None}
+        argv = ["sweep"]
+    if target == "argv":
+        options[where] = value
+    if command == "sweep":
+        argv.append(options.pop("mode"))
+    for flag, option in options.items():
+        if option is not None:
+            argv.append(f"{flag}={option}")
+    if target == "timing":
+        argv += ["--timing", str(files["timing"])]
+    argv += ["-o", str(out)]
+    capsys.readouterr()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejected an option
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    if code == 0:
+        assert all(math.isfinite(cell) for cell in _cells(out, options.get("--format")))
+        return
+    named = {"workload": str(files["workload"]), "timing": str(files["timing"]),
+             "argv": "mode" if where == "mode" else where}[target]
+    # a metric that is not finite names the layer or sweep point it belongs to
+    assert any(token in err for token in (named, "error: layer '", "error: sweep point ")), err

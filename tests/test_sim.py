@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dimcsim import oracle
 from dimcsim.isa import DcF, DcP, DlI, DlM
+from dimcsim.mapper import LayerDescriptor, lower
 from dimcsim.sim import (CLASSES, INSTRUCTION_KINDS, NUM_VREGS, Barrier, Program, Repeat,
                          SimulationError, TimingModel, VClear, VLoad, VStore, _Clock,
-                         _Machine, _NEVER, _kinds, execute)
+                         _Machine, _NEVER, _kinds, execute, run_layer)
 from dimcsim.tile import DimcTile, PrecisionMode, QuantConfig
 
 
@@ -354,6 +356,54 @@ def test_repeat_with_carried_state_matches_flat_expansion(monkeypatch, body, str
     assert walked.memory == unrolled.memory and walked.vrf == unrolled.vrf
 
 
+def test_groups_of_a_single_position_layer_run_as_one_batch(monkeypatch):
+    # an fc layer has one output position, so each of its three kernel
+    # groups holds a Repeat(1) over positions; the groups still run as one
+    # batch: one compute call per kernel chunk of a group (16 kernels of
+    # two chunks each), not one per group iteration
+    layer = LayerDescriptor(kind="fc", ich=320, och=48)
+    lowering = lower(layer)
+    rng = np.random.default_rng(5)
+    inputs = rng.integers(-8, 8, (1, 1, 320))
+    weights = rng.integers(-8, 8, (48, 1, 1, 320))
+    calls = _counting_computes(monkeypatch)
+    _, got = run_layer(lowering, inputs=inputs, weights=weights)
+    assert len(calls) == 16 * 2
+    want = oracle.quantize_partials(oracle.conv_partials(inputs, weights, 1, 0), lowering.quant)
+    assert np.array_equal(got, want)
+
+
+def test_one_iteration_loop_that_keeps_its_store_in_place_still_batches(monkeypatch):
+    # the Repeat(1) does not advance region 2, but it runs once per outer
+    # iteration, and the outer loop moves the store: the three stores are
+    # disjoint and the outer loop runs as one batch
+    inner = Repeat(1, (DcP(vs1=0, vd=3, sh=0, dh=0, m_row=0), VStore(3, 56, region=2)))
+    body = (VLoad(2, 8, region=1), DlI(vs1=2, nvec=1, sec=0, mask=1), inner)
+    strides = (0, 8, 8)
+    calls = _counting_computes(monkeypatch)
+    batched = execute(prog(_PROLOGUE + (Repeat(3, body, strides),)), memory=_patch_memory())
+    assert len(calls) == 1
+    flat = list(_PROLOGUE) + [i for n in range(3) for i in _rebased(body[:2] + inner.body,
+                                                                     n, strides)]
+    unrolled = execute(prog(flat), memory=_patch_memory())
+    assert batched.memory == unrolled.memory and batched.vrf == unrolled.vrf
+    assert batched.memory[56:80] != bytes(24)
+
+
+def test_out_of_bounds_after_a_batch_and_an_empty_loop_reports_the_unrolled_pc(monkeypatch):
+    # the batch walks one pass of its four instructions, the unrolled
+    # program six; the Repeat(0) adds nothing: the vload is at pc 2 + 24
+    body = (VLoad(2, 8, region=1), DlI(vs1=2, nvec=1, sec=0, mask=1),
+            DcP(vs1=0, vd=3, sh=0, dh=0, m_row=0), VStore(3, 56, region=2))
+    calls = _counting_computes(monkeypatch)
+    program = prog(_PROLOGUE + (Repeat(6, body, (0, 8, 8)), Repeat(0, (VClear(5),)),
+                                VLoad(1, 104)))
+    with pytest.raises(SimulationError, match="out of bounds") as err:
+        execute(program, memory=_patch_memory())
+    assert len(calls) == 1
+    assert err.value.pc == 2 + 6 * 4
+
+
 @pytest.mark.parametrize("load_base, store_base, pc", [(0, 56, 13), (56, 0, 12)],
                          ids=["vstore", "vload"])
 def test_out_of_bounds_in_a_batched_iteration_reports_its_pc(load_base, store_base, pc):
@@ -519,6 +569,25 @@ def test_schedule_matches_reference_scheduler(body, timing):
         assert out.cycles_by_class == cycles
         assert out.counts_by_class == counts
     assert walked_trace == trace
+
+
+_tiny_loop = st.builds(Repeat, count=st.integers(0, 2),
+                       body=st.lists(_instructions, min_size=1, max_size=4))
+_tiny_nodes = st.one_of(_instructions, _tiny_loop, st.builds(
+    Repeat, count=st.integers(0, 2),
+    body=st.lists(st.one_of(_instructions, _tiny_loop), min_size=1, max_size=4)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(body=st.lists(_tiny_nodes, max_size=6))
+def test_counts_are_those_of_the_unrolled_program(body):
+    # Repeat(0) and Repeat(1) at every depth: the counts the build pass
+    # takes are those of the instructions the unrolled program issues
+    counts = dict.fromkeys(CLASSES, 0)
+    for ins in _unrolled(body):
+        if not isinstance(ins, Barrier):
+            counts[_KIND_CLASS[ins.kind]] += 1
+    assert execute(prog(body)).counts_by_class == counts
 
 
 @pytest.mark.parametrize("interval", [7, 40])
