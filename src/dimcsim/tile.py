@@ -218,8 +218,11 @@ class DimcTile:
         result is an int64 array; otherwise it is one integer.
         """
         self._check_row(row)
-        # |dot| <= 1024 * 15 * 15 fits int32, so the MAC is exact there
-        dot = np.einsum("...e,...e->...", self._input, self._memory[..., row, :], dtype=np.int32)
+        # float32 sums integers exactly while every partial sum stays below
+        # 2**24, in any order; a row's |dot| is at most 1024 * 1 (1-bit),
+        # 512 * 9 (2-bit) or 256 * 225 = 57,600 (4-bit)
+        dot = np.vecdot(self._input.astype(np.float32),
+                        self._memory[..., row, :].astype(np.float32))
         return wrap_partial(dot.astype(np.int64) + incoming)
 
     def compute_row_final(self, row: int, incoming, quant: QuantConfig):

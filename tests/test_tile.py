@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -86,19 +88,38 @@ def test_compute_single_element_identity():
     assert tile.compute_row(0) == 1
 
 
-def _fill(tile, rng):
-    """Load random input and row 0 at the tile's precision; returns the
-    element vectors."""
-    mode = tile.mode
+def _random_elements(mode, rng):
+    """Random input and weight element vectors at the mode's precision."""
     n = ROW_BITS // mode.bits
     lo, hi = mode.input_range()
     x = rng.integers(lo, hi + 1, n)
     lo, hi = mode.weight_range()
-    w = rng.integers(lo, hi + 1, n)
+    return x, rng.integers(lo, hi + 1, n)
+
+
+def _fill(tile, rng, elements=None):
+    """Load input and row 0 with ``elements`` (random when None); returns
+    the element vectors."""
+    x, w = _random_elements(tile.mode, rng) if elements is None else elements
     for s in range(4):
-        tile.load_input_sector(s, pack_elements(x, mode.bits).tobytes()[32 * s:32 * (s + 1)], 0b1111)
-        tile.load_memory_row(0, s, pack_elements(w, mode.bits).tobytes()[32 * s:32 * (s + 1)], 0b1111)
+        tile.load_input_sector(s, _sector_bytes(x, tile.mode.bits, s), 0b1111)
+        tile.load_memory_row(0, s, _sector_bytes(w, tile.mode.bits, s), 0b1111)
     return x, w
+
+
+def _sector_bytes(elements, bits, s):
+    return pack_elements(elements, bits)[32 * s:32 * (s + 1)]
+
+
+def _largest_product(mode):
+    """The input and weight element whose product has the largest |value|."""
+    return max(itertools.product(mode.input_range(), mode.weight_range()),
+               key=lambda pair: abs(pair[0] * pair[1]))
+
+
+def _want(x, w, incoming):
+    """Plain python dot with unbounded ints, reduced at the end."""
+    return wrap_partial(sum(int(a) * int(b) for a, b in zip(x, w)) + incoming)
 
 
 @pytest.mark.parametrize("bits", [1, 2, 4])
@@ -107,13 +128,32 @@ def _fill(tile, rng):
 def test_compute_matches_bruteforce_dot(bits, in_signed, w_signed):
     rng = np.random.default_rng(bits * 100 + in_signed * 10 + w_signed)
     mode = PrecisionMode(bits, in_signed, w_signed)
-    for trial in range(10):
+    n = ROW_BITS // bits
+    # every element the one of largest |product| is the tightest point of the
+    # bound that keeps the MAC exact (256 * 15 * 15 at 4-bit unsigned)
+    x_big, w_big = _largest_product(mode)
+    worst = (np.full(n, x_big), np.full(n, w_big))
+    for trial in range(11):
         tile = DimcTile(mode)
-        x, w = _fill(tile, rng)
+        x, w = _fill(tile, rng, worst if trial == 10 else None)
         incoming = int(rng.integers(-(1 << 23), 1 << 23))
-        # oracle: plain python dot with unbounded ints, reduced at the end
-        want = wrap_partial(sum(int(a) * int(b) for a, b in zip(x, w)) + incoming)
-        assert tile.compute_row(0, incoming) == want
+        assert tile.compute_row(0, incoming) == _want(x, w, incoming)
+    # one compute over two leading batch axes: two input buffers against
+    # three rows, the worst-case vectors first on each axis
+    xs = [worst[0], _random_elements(mode, rng)[0]]
+    ws = [worst[1]] + [_random_elements(mode, rng)[1] for _ in range(2)]
+    incoming = rng.integers(-(1 << 23), 1 << 23, (2, 3))
+    tile = DimcTile(mode)
+    tile.push_axis()
+    tile.push_axis()
+    for s in range(4):
+        tile.load_input_sector(s, np.stack([_sector_bytes(x, bits, s) for x in xs])[:, None], 0b1111)
+        tile.load_memory_row(0, s, np.stack([_sector_bytes(w, bits, s) for w in ws]), 0b1111)
+    got = tile.compute_row(0, incoming)
+    assert got.shape == (2, 3)
+    for i, x in enumerate(xs):
+        for j, w in enumerate(ws):
+            assert got[i, j] == _want(x, w, int(incoming[i, j]))
 
 
 def test_incoming_offset_is_modular():
