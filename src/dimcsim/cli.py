@@ -38,8 +38,7 @@ class WorkloadFile:
     entries: tuple
 
 
-_LAYER_INTS = ("ich", "och", "h", "w", "kh", "kw", "stride", "padding")
-_LAYER_KEYS = ("name", "kind", "precision") + _LAYER_INTS
+_LAYER_KEYS = ("name", "kind", "precision") + mapper.SHAPE_FIELDS
 
 
 def _check_keys(obj: dict, known, where: str) -> None:
@@ -105,7 +104,7 @@ def load_workload(source) -> WorkloadFile:
         prec = default_prec
         if "precision" in item:
             prec = _parse_precision(item["precision"], where)
-        kwargs = {k: item[k] for k in _LAYER_INTS if k in item}
+        kwargs = {k: item[k] for k in mapper.SHAPE_FIELDS if k in item}
         try:
             layer = mapper.LayerDescriptor(kind=item.get("kind", "conv"),
                                            precision=prec, **kwargs)

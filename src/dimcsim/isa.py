@@ -13,6 +13,15 @@ slot for m_row since loads write no register. nvec is stored biased by one
 (range 1..4 in two bits). Every bit not listed is reserved and must be zero,
 and the decoder rejects words that violate that.
 
+Each record declares this layout once, as ``_bits(shift, lo, hi)`` next to
+each dataclass field; a field is stored as ``value - lo``. From those
+declarations ``_custom`` generates the record's constructor, its encoder,
+decoder and canonical text form, and the bits its funct3 may set. They are
+generated as straight-line code, not loops over the layout, because the
+mapper constructs every record it lowers: a constructor that writes the
+slots directly costs less than the ``object.__setattr__`` calls of a frozen
+dataclass ``__init__``.
+
 Field types (plain ``int``, not bool) and ranges are checked by the record
 constructors, and so by the assembler. ``decode`` builds its records
 without that check, because its bit masks already bound every field.
@@ -26,7 +35,7 @@ streams are little-endian sequences of 32-bit words.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 OPCODE_CUSTOM0 = 0b0001011
 
@@ -65,168 +74,133 @@ class AsmError(ValueError):
         self.col = col
 
 
-def _check_field(name: str, value: int, lo: int, hi: int) -> None:
-    if type(value) is not int or not lo <= value <= hi:
-        raise EncodingError(f"field {name}={value!r} out of range [{lo}, {hi}]")
-
-
 def _report_bad_field(cls, values) -> None:
-    for (name, lo, hi), value in zip(cls._FIELD_RANGES, values):
-        _check_field(name, value, lo, hi)
+    for f, value in zip(fields(cls), values):
+        _, lo, hi = f.metadata["bits"]
+        if type(value) is not int or not lo <= value <= hi:
+            raise EncodingError(f"field {f.name}={value!r} out of range [{lo}, {hi}]")
     raise EncodingError(f"invalid fields in {cls.__name__}{values!r}")
 
 
-@dataclass(frozen=True, slots=True)
+def _bits(shift: int, lo: int, hi: int):
+    """Declare a record field stored as ``value - lo`` in the word bits from
+    ``shift`` up. Each range fills its bits (``hi - lo + 1`` is a power of
+    two), so the bit mask alone bounds a decoded field."""
+    return field(metadata={"bits": (shift, lo, hi)})
+
+
+_ENCODERS = {}
+_FORMATTERS = {}
+_DECODERS = {}  # funct3 -> (bits a word may set, decoder)
+
+
+def _custom(mnemonic: str, funct3: int):
+    """Make a class the frozen, slotted record of instruction ``mnemonic``
+    and generate its constructor, encoder, decoder and canonical text from
+    its ``_bits`` declarations. The constructor and decoder write each field
+    through its slot descriptor, which the frozen ``__setattr__`` does not
+    guard; the decoder skips the constructor's check."""
+    def build(cls):
+        cls = dataclass(frozen=True, slots=True, init=False)(cls)
+        cls.mnemonic = cls.kind = mnemonic
+        names = [f.name for f in fields(cls)]
+        args = ", ".join(names)
+        base, used = OPCODE_CUSTOM0 | funct3 << 12, 0x7F | 0x7 << 12
+        ranges, encoded, decoded, text = [], [], [], [mnemonic]
+        for f in fields(cls):
+            name, (shift, lo, hi) = f.name, f.metadata["bits"]
+            used |= hi - lo << shift
+            ranges.append(f"{lo} <= {name} <= {hi}")
+            stored, bits = f"instr.{name}", f"word >> {shift} & {hi - lo}"
+            if lo:
+                stored, bits = f"({stored} - {lo})", f"({bits}) + {lo}"
+            encoded.append(f"{stored} << {shift}")
+            decoded.append(f"    _set_{name}(obj, {bits})")
+            width = (hi - lo).bit_length()
+            text.append(f"{name}=0b{{instr.{name}:0{width}b}}" if name == "mask"
+                        else f"{name}={{instr.{name}}}")
+        source = "\n".join([
+            f"def __init__(self, {args}):",
+            f"    if not ({' is '.join(f'type({n})' for n in names)} is int",
+            f"            and {' and '.join(ranges)}):",
+            f"        _report_bad_field(cls, ({args}))",
+            *(f"    _set_{name}(self, {name})" for name in names),
+            "def decode(word):",
+            "    obj = _new(cls)",
+            *decoded,
+            "    return obj",
+            "def encode(instr):",
+            f"    return {' | '.join([str(base), *encoded])}",
+            "def text(instr):",
+            f"    return f{' '.join(text)!r}"])
+        namespace = {"cls": cls, "_new": object.__new__, "_report_bad_field": _report_bad_field,
+                     **{f"_set_{name}": cls.__dict__[name].__set__ for name in names}}
+        exec(source, namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        _ENCODERS[cls] = namespace["encode"]
+        _FORMATTERS[cls] = namespace["text"]
+        _DECODERS[funct3] = (used, namespace["decode"])
+        return cls
+    return build
+
+
+@_custom("dl.i", FUNCT3_DLI)
 class DlI:
     """Load 64..256 bits from nvec registers into one input-buffer sector."""
 
-    vs1: int
-    nvec: int
-    sec: int
-    mask: int
-
-    mnemonic = "dl.i"
-    kind = "dl.i"
-
-    _FIELD_RANGES = (("vs1", 0, 31), ("nvec", 1, 4), ("sec", 0, 3), ("mask", 0, 15))
-
-    def __init__(self, vs1: int, nvec: int, sec: int, mask: int):
-        if not (type(vs1) is type(nvec) is type(sec) is type(mask) is int
-                and 0 <= vs1 <= 31 and 1 <= nvec <= 4 and 0 <= sec <= 3 and 0 <= mask <= 15):
-            _report_bad_field(DlI, (vs1, nvec, sec, mask))
-        _store_dli(self, vs1, nvec, sec, mask)
+    vs1: int = _bits(15, 0, 31)
+    nvec: int = _bits(20, 1, 4)
+    sec: int = _bits(22, 0, 3)
+    mask: int = _bits(25, 0, 15)
 
 
-@dataclass(frozen=True, slots=True)
+@_custom("dl.m", FUNCT3_DLM)
 class DlM:
     """Like dl.i, but targets sector ``sec`` of weight memory row m_row."""
 
-    vs1: int
-    nvec: int
-    sec: int
-    mask: int
-    m_row: int
-
-    mnemonic = "dl.m"
-    kind = "dl.m"
-
-    _FIELD_RANGES = (("vs1", 0, 31), ("nvec", 1, 4), ("sec", 0, 3),
-                     ("mask", 0, 15), ("m_row", 0, 31))
-
-    def __init__(self, vs1: int, nvec: int, sec: int, mask: int, m_row: int):
-        if not (type(vs1) is type(nvec) is type(sec) is type(mask) is type(m_row) is int
-                and 0 <= vs1 <= 31 and 1 <= nvec <= 4 and 0 <= sec <= 3
-                and 0 <= mask <= 15 and 0 <= m_row <= 31):
-            _report_bad_field(DlM, (vs1, nvec, sec, mask, m_row))
-        _store_dlm(self, vs1, nvec, sec, mask, m_row)
+    vs1: int = _bits(15, 0, 31)
+    nvec: int = _bits(20, 1, 4)
+    sec: int = _bits(22, 0, 3)
+    mask: int = _bits(25, 0, 15)
+    m_row: int = _bits(7, 0, 31)
 
 
-@dataclass(frozen=True, slots=True)
+@_custom("dc.p", FUNCT3_DCP)
 class DcP:
     """In-memory MAC against row m_row; the 24-bit partial comes from the
     sh-selected half of vs1 and the result lands in the dh half of vd."""
 
-    vs1: int
-    vd: int
-    sh: int
-    dh: int
-    m_row: int
-
-    mnemonic = "dc.p"
-    kind = "dc.p"
-
-    _FIELD_RANGES = (("vs1", 0, 31), ("vd", 0, 31), ("sh", 0, 1),
-                     ("dh", 0, 1), ("m_row", 0, 31))
-
-    def __init__(self, vs1: int, vd: int, sh: int, dh: int, m_row: int):
-        if not (type(vs1) is type(vd) is type(sh) is type(dh) is type(m_row) is int
-                and 0 <= vs1 <= 31 and 0 <= vd <= 31 and 0 <= sh <= 1
-                and 0 <= dh <= 1 and 0 <= m_row <= 31):
-            _report_bad_field(DcP, (vs1, vd, sh, dh, m_row))
-        _store_dcp(self, vs1, vd, sh, dh, m_row)
+    vs1: int = _bits(15, 0, 31)
+    vd: int = _bits(7, 0, 31)
+    sh: int = _bits(20, 0, 1)
+    dh: int = _bits(21, 0, 1)
+    m_row: int = _bits(22, 0, 31)
 
 
-@dataclass(frozen=True, slots=True)
+@_custom("dc.f", FUNCT3_DCF)
 class DcF:
     """Same MAC as dc.p plus ReLU and quantization; the packed nibble goes
     into byte bidx of the dh-selected half of vd."""
 
-    vs1: int
-    vd: int
-    sh: int
-    dh: int
-    m_row: int
-    bidx: int
+    vs1: int = _bits(15, 0, 31)
+    vd: int = _bits(7, 0, 31)
+    sh: int = _bits(20, 0, 1)
+    dh: int = _bits(21, 0, 1)
+    m_row: int = _bits(22, 0, 31)
+    bidx: int = _bits(27, 0, 3)
 
-    mnemonic = "dc.f"
-    kind = "dc.f"
-
-    _FIELD_RANGES = (("vs1", 0, 31), ("vd", 0, 31), ("sh", 0, 1),
-                     ("dh", 0, 1), ("m_row", 0, 31), ("bidx", 0, 3))
-
-    def __init__(self, vs1: int, vd: int, sh: int, dh: int, m_row: int, bidx: int):
-        if not (type(vs1) is type(vd) is type(sh) is type(dh) is type(m_row) is type(bidx) is int
-                and 0 <= vs1 <= 31 and 0 <= vd <= 31 and 0 <= sh <= 1
-                and 0 <= dh <= 1 and 0 <= m_row <= 31 and 0 <= bidx <= 3):
-            _report_bad_field(DcF, (vs1, vd, sh, dh, m_row, bidx))
-        _store_dcf(self, vs1, vd, sh, dh, m_row, bidx)
-
-
-def _slot_store(cls):
-    """Build ``store(obj, *field_values) -> obj`` for a frozen slotted record.
-
-    It writes each field through its slot descriptor, which the frozen
-    ``__setattr__`` does not guard and which costs less than the
-    ``object.__setattr__`` a generated frozen ``__init__`` uses. Like that
-    ``__init__``, the store is generated as straight-line code.
-    """
-    names = [f.name for f in fields(cls)]
-    namespace = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
-    source = "\n".join([f"def store(obj, {', '.join(names)}):",
-                        *(f"    _set_{name}(obj, {name})" for name in names),
-                        "    return obj"])
-    exec(source, namespace)
-    return namespace["store"]
-
-
-_store_dli = _slot_store(DlI)
-_store_dlm = _slot_store(DlM)
-_store_dcp = _slot_store(DcP)
-_store_dcf = _slot_store(DcF)
-_new = object.__new__
 
 CustomInstruction = DlI | DlM | DcP | DcF
-
-# Bits each variant may populate; everything else is reserved-as-zero.
-_USED_BITS = {
-    FUNCT3_DLI: 0x7F | (0x7 << 12) | (0x1F << 15) | (0x3 << 20) | (0x3 << 22) | (0xF << 25),
-    FUNCT3_DLM: 0x7F | (0x1F << 7) | (0x7 << 12) | (0x1F << 15) | (0x3 << 20) | (0x3 << 22) | (0xF << 25),
-    FUNCT3_DCP: 0x7F | (0x1F << 7) | (0x7 << 12) | (0x1F << 15) | (0x1 << 20) | (0x1 << 21) | (0x1F << 22),
-    FUNCT3_DCF: 0x7F | (0x1F << 7) | (0x7 << 12) | (0x1F << 15) | (0x1 << 20) | (0x1 << 21) | (0x1F << 22) | (0x3 << 27),
-}
-
-_BASE_DLI = OPCODE_CUSTOM0 | (FUNCT3_DLI << 12)
-_BASE_DLM = OPCODE_CUSTOM0 | (FUNCT3_DLM << 12)
-_BASE_DCP = OPCODE_CUSTOM0 | (FUNCT3_DCP << 12)
-_BASE_DCF = OPCODE_CUSTOM0 | (FUNCT3_DCF << 12)
 
 
 def encode(instr: CustomInstruction) -> int:
     """Encode one instruction into its 32-bit word."""
-    cls = type(instr)
-    if cls is DlI:
-        return (_BASE_DLI | (instr.vs1 << 15) | ((instr.nvec - 1) << 20)
-                | (instr.sec << 22) | (instr.mask << 25))
-    if cls is DlM:
-        return (_BASE_DLM | (instr.m_row << 7) | (instr.vs1 << 15)
-                | ((instr.nvec - 1) << 20) | (instr.sec << 22) | (instr.mask << 25))
-    if cls is DcP:
-        return (_BASE_DCP | (instr.vd << 7) | (instr.vs1 << 15) | (instr.sh << 20)
-                | (instr.dh << 21) | (instr.m_row << 22))
-    if cls is DcF:
-        return (_BASE_DCF | (instr.vd << 7) | (instr.vs1 << 15) | (instr.sh << 20)
-                | (instr.dh << 21) | (instr.m_row << 22) | (instr.bidx << 27))
-    raise EncodingError(f"not a custom instruction: {instr!r}")
+    try:
+        encoder = _ENCODERS[instr.__class__]
+    except KeyError:
+        raise EncodingError(f"not a custom instruction: {instr!r}") from None
+    return encoder(instr)
 
 
 def decode(word: int) -> CustomInstruction:
@@ -236,26 +210,13 @@ def decode(word: int) -> CustomInstruction:
     if word & 0x7F != OPCODE_CUSTOM0:
         raise NotCustom0Error(f"opcode {word & 0x7F:#09b} is not custom-0")
     funct3 = (word >> 12) & 0x7
-    used = _USED_BITS.get(funct3)
-    if used is None:
-        raise UnknownFunct3Error(f"funct3 {funct3:#05b} does not name an instruction")
+    try:
+        used, decoder = _DECODERS[funct3]
+    except KeyError:
+        raise UnknownFunct3Error(f"funct3 {funct3:#05b} does not name an instruction") from None
     if word & ~used & 0xFFFFFFFF:
         raise ReservedBitsError(f"reserved bits set in {word:#010x}")
-    # The masks bound every field, so the records skip the constructor's check.
-    vs1 = (word >> 15) & 0x1F
-    if funct3 == FUNCT3_DLI:
-        return _store_dli(_new(DlI), vs1, ((word >> 20) & 0x3) + 1,
-                          (word >> 22) & 0x3, (word >> 25) & 0xF)
-    if funct3 == FUNCT3_DLM:
-        return _store_dlm(_new(DlM), vs1, ((word >> 20) & 0x3) + 1,
-                          (word >> 22) & 0x3, (word >> 25) & 0xF, (word >> 7) & 0x1F)
-    vd = (word >> 7) & 0x1F
-    sh = (word >> 20) & 0x1
-    dh = (word >> 21) & 0x1
-    m_row = (word >> 22) & 0x1F
-    if funct3 == FUNCT3_DCP:
-        return _store_dcp(_new(DcP), vs1, vd, sh, dh, m_row)
-    return _store_dcf(_new(DcF), vs1, vd, sh, dh, m_row, (word >> 27) & 0x3)
+    return decoder(word)
 
 
 _BY_MNEMONIC = {cls.mnemonic: cls for cls in (DlI, DlM, DcP, DcF)}
@@ -273,7 +234,7 @@ def assemble(text: str) -> list[int]:
         cls = _BY_MNEMONIC.get(mnemonic.lower())
         if cls is None:
             raise AsmError(lineno, raw.index(mnemonic) + 1, f"unknown mnemonic {mnemonic!r}")
-        wanted = [f.name for f in fields(cls)]
+        wanted = cls.__match_args__  # the field names, in order
         values = {}
         for tok in tokens[1:]:
             col = raw.index(tok) + 1
@@ -300,18 +261,11 @@ def assemble(text: str) -> list[int]:
 
 def format_instruction(instr: CustomInstruction) -> str:
     """Canonical one-line assembly form of an instruction."""
-    cls = instr.__class__
-    if cls is DlI:
-        return f"dl.i vs1={instr.vs1} nvec={instr.nvec} sec={instr.sec} mask=0b{instr.mask:04b}"
-    if cls is DlM:
-        return (f"dl.m vs1={instr.vs1} nvec={instr.nvec} sec={instr.sec} "
-                f"mask=0b{instr.mask:04b} m_row={instr.m_row}")
-    if cls is DcP:
-        return f"dc.p vs1={instr.vs1} vd={instr.vd} sh={instr.sh} dh={instr.dh} m_row={instr.m_row}"
-    if cls is DcF:
-        return (f"dc.f vs1={instr.vs1} vd={instr.vd} sh={instr.sh} dh={instr.dh} "
-                f"m_row={instr.m_row} bidx={instr.bidx}")
-    raise EncodingError(f"not a custom instruction: {instr!r}")
+    try:
+        formatter = _FORMATTERS[instr.__class__]
+    except KeyError:
+        raise EncodingError(f"not a custom instruction: {instr!r}") from None
+    return formatter(instr)
 
 
 def disassemble(words) -> str:

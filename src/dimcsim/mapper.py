@@ -84,6 +84,10 @@ class NotDimcEligibleError(MappingError):
     """The layer violates a DIMC constraint (precision or capacity)."""
 
 
+# The integer shape fields of a LayerDescriptor, each checked on construction.
+SHAPE_FIELDS = ("ich", "och", "h", "w", "kh", "kw", "stride", "padding")
+
+
 @dataclass(frozen=True)
 class LayerDescriptor:
     """Shape and precision of one convolutional or fully-connected layer.
@@ -108,7 +112,7 @@ class LayerDescriptor:
             raise MappingError(f"unknown layer kind {self.kind!r}")
         if self.kind == "fc" and (self.h, self.w, self.kh, self.kw) != (1, 1, 1, 1):
             raise MappingError("fc layers must have h = w = kh = kw = 1")
-        for name in ("ich", "och", "h", "w", "kh", "kw", "stride", "padding"):
+        for name in SHAPE_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise MappingError(f"{name} must be an integer, got {value!r}")

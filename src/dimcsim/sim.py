@@ -880,8 +880,8 @@ def write_trace_csv(trace, path) -> None:
             fh.write(f"{cycle},{cls},{mnemonic}\n")
 
 
-def run_layer(lowering, timing: TimingModel | None = None, inputs=None, weights=None,
-              *, trace: list | None = None):
+def run_layer(lowering, timing: TimingModel | None, inputs, weights, *,
+              trace: list | None = None):
     """Execute a lowered layer end to end and pull its output tensor back.
 
     ``lowering`` comes from the mapper and supplies the program, the

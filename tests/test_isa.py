@@ -189,3 +189,42 @@ def test_binary_stream_roundtrip():
     assert unpack_words(blob) == words
     with pytest.raises(isa.DecodeError):
         unpack_words(blob[:-1])
+
+
+# The module docstring's word layout, written out here rather than read from
+# isa's declarations, so that an encoder and decoder generated from one wrong
+# declaration still fail: record -> (funct3, ((field, low bit, lo, hi), ...)).
+_DOC_LAYOUT = {
+    DlI: (0b000, (("mask", 25, 0, 15), ("sec", 22, 0, 3), ("nvec", 20, 1, 4),
+                  ("vs1", 15, 0, 31))),
+    DlM: (0b001, (("mask", 25, 0, 15), ("sec", 22, 0, 3), ("nvec", 20, 1, 4),
+                  ("vs1", 15, 0, 31), ("m_row", 7, 0, 31))),
+    DcP: (0b010, (("m_row", 22, 0, 31), ("dh", 21, 0, 1), ("sh", 20, 0, 1),
+                  ("vs1", 15, 0, 31), ("vd", 7, 0, 31))),
+    DcF: (0b011, (("bidx", 27, 0, 3), ("m_row", 22, 0, 31), ("dh", 21, 0, 1),
+                  ("sh", 20, 0, 1), ("vs1", 15, 0, 31), ("vd", 7, 0, 31))),
+}
+
+
+@pytest.mark.parametrize("cls", list(_DOC_LAYOUT), ids=lambda cls: cls.mnemonic)
+def test_word_layout_matches_the_documented_one(cls):
+    funct3, layout = _DOC_LAYOUT[cls]
+    base = 0b0001011 | funct3 << 12
+    used = 0x7F | 0x7 << 12
+    for _, shift, lo, hi in layout:
+        used |= hi - lo << shift
+    for name, shift, lo, hi in layout:
+        width = (hi - lo).bit_length()
+        # each stored bit alone, then the field's maximum, with every other
+        # field at its minimum
+        for stored in [1 << b for b in range(width)] + [hi - lo]:
+            values = {n: low for n, _, low, _ in layout}
+            values[name] = lo + stored
+            record = cls(**values)
+            word = base | stored << shift
+            assert encode(record) == word, (name, stored)
+            assert decode(word) == record
+            for bit in range(32):
+                if not used >> bit & 1:
+                    with pytest.raises(ReservedBitsError):
+                        decode(word | 1 << bit)

@@ -367,7 +367,7 @@ def test_groups_of_a_single_position_layer_run_as_one_batch(monkeypatch):
     inputs = rng.integers(-8, 8, (1, 1, 320))
     weights = rng.integers(-8, 8, (48, 1, 1, 320))
     calls = _counting_computes(monkeypatch)
-    _, got = run_layer(lowering, inputs=inputs, weights=weights)
+    _, got = run_layer(lowering, None, inputs, weights)
     assert len(calls) == 16 * 2
     want = oracle.quantize_partials(oracle.conv_partials(inputs, weights, 1, 0), lowering.quant)
     assert np.array_equal(got, want)
