@@ -126,8 +126,10 @@ def _random_tensors(layer: mapper.LayerDescriptor, seed: int):
     return inputs, weights
 
 
-def _verify_layer(name, lowering, timing, extrapolated_cycles, trace_path):
-    """Functional run of the costed program against the convolution reference.
+def _verify_layer(name, lowering, timing, extrapolated, trace_path):
+    """Functional run of the costed program against the convolution reference,
+    and of its walked cycles, total and per class, against the
+    ``extrapolated`` outcome.
 
     Returns an error string on mismatch, None when the layer checks out;
     raises WorkloadError when the layer is too large to run functionally.
@@ -149,9 +151,13 @@ def _verify_layer(name, lowering, timing, extrapolated_cycles, trace_path):
     outcome, got = sim.run_layer(lowering, timing, inputs, weights, trace=trace)
     if trace_path:
         sim.write_trace_csv(trace, trace_path)
-    if outcome.total_cycles != extrapolated_cycles:
-        return (f"{name}: extrapolated cycles {extrapolated_cycles} "
+    if outcome.total_cycles != extrapolated.total_cycles:
+        return (f"{name}: extrapolated cycles {extrapolated.total_cycles} "
                 f"!= walked cycles {outcome.total_cycles}")
+    for cls in sim.CLASSES:
+        expected, walked = extrapolated.cycles_by_class[cls], outcome.cycles_by_class[cls]
+        if walked != expected:
+            return f"{name}: extrapolated {cls} cycles {expected} != walked {cls} cycles {walked}"
     want = oracle.quantize_partials(
         oracle.conv_partials(inputs, weights, layer.stride, layer.padding),
         lowering.quant)
@@ -205,8 +211,7 @@ def cmd_simulate(args) -> int:
             name, mapper.ops_count(layer), outcome, baseline.baseline_cycles(layer),
             area_ratio=args.area_ratio, freq_hz=timing.freq_hz))
         if args.verify or args.trace:
-            problem = _verify_layer(name, lowering, timing, outcome.total_cycles,
-                                    trace_paths.get(name))
+            problem = _verify_layer(name, lowering, timing, outcome, trace_paths.get(name))
             if problem:
                 failures.append(problem)
     header = {

@@ -70,7 +70,11 @@ one by one. A run without memory image or trace is timing-only: iterations
 are run until two consecutive ones leave the scoreboard in the same
 relative state and advance time by the same amount, and the remaining ones
 are applied as a closed-form shift. A run with a memory image or a trace
-walks every iteration through the same compiled runs. Addresses never
+walks every iteration through the same compiled runs; a loop whose body is
+one run issues all its passes in one call, and every pass but the last
+stores only the keys a later pass reads before writing them. Each pass
+still checks its guard against the scoreboard, and the last pass, like any
+pass issued one by one, stores every key the run writes. Addresses never
 influence timing, so both give equal cycles, and ``--verify`` checks that
 they do.
 
@@ -382,9 +386,15 @@ class _Run:
     ``guards`` lists those (keys, offsets) for the first pass of the
     enclosing loop, and for any later pass, which need not check a key the
     loop body never writes: the first pass already waited for it.
+
+    ``live`` is the part of ``stores`` on the later-pass guard's keys. When
+    the loop body is this run alone, those are the only keys a later pass
+    reads before it writes them, in its guard or when it issues one by one,
+    so a pass with another after it stores only ``live``.
     """
 
-    __slots__ = ("instructions", "gaps", "stores", "peak", "tail", "rows", "last", "guards")
+    __slots__ = ("instructions", "gaps", "stores", "live", "peak", "tail", "rows", "last",
+                 "guards")
 
 
 def _kinds(timing: TimingModel) -> dict:
@@ -411,9 +421,10 @@ class _Clock:
     is ready or its unit is free again. One kernel, ``_issue_each``, turns
     instructions into issue times, class gaps, stores and completions: it
     compiles each run on a scratch clock at _NEVER, and issues a run whose
-    guard fails. ``_issue`` advances the state over a run; the
-    extrapolating and the walking run both go through it, and it is the
-    only writer of the trace.
+    guard fails. ``_issue`` advances the state over a run, or over every
+    pass of a walked loop whose body is one run; the extrapolating and the
+    walking run both go through it, and it is the only writer of the
+    trace.
     """
 
     def __init__(self, kinds: dict, trace, walk: bool = False, ready=0):
@@ -456,6 +467,7 @@ class _Clock:
             waits = run.guards
             warm = {key: at for key, at in waits.items() if key in written}
             run.guards = tuple((tuple(w), tuple(w.values())) for w in (waits, warm))
+            run.live = tuple((key, c) for key, c in run.stores if key in warm)
         return tuple(parts), written
 
     def _compile_run(self, instructions) -> _Run:
@@ -493,26 +505,38 @@ class _Clock:
             else:
                 self.run_loop(part[1], part[2])
 
-    def _issue(self, run: _Run, warm: bool) -> None:
-        """Issue a straight-line run: its compiled schedule, shifted to the
-        cycle after the last issue, when the guard shows that no entry value
-        binds, else its instructions one by one."""
-        ready, cycles = self.ready, self.cycles
-        t = self.t_last + 1
-        keys, offsets = run.guards[warm]
-        if keys and max(map(sub, map(ready.__getitem__, keys), offsets)) > t:
-            self._issue_each(run.instructions)
-        else:
-            cycles[self.pending] += 1
-            for cls, n in run.gaps:
-                cycles[cls] += n
-            for key, c in run.stores:
-                ready[key] = t + c
-            self.t_max = max(self.t_max, t + run.peak)
-            self.t_last = t + run.tail
-            self.pending = run.last
-            if run.rows is not None:
-                self.trace.extend([(t + c, name, mnemonic) for c, name, mnemonic in run.rows])
+    def _issue(self, run: _Run, warm: bool, passes: int = 1) -> None:
+        """Issue ``passes`` back-to-back passes of a straight-line run, the
+        first under the guard ``warm`` selects and the rest under the warm
+        one: each pass its compiled schedule, shifted to the cycle after the
+        last issue, when its guard shows that no entry value binds, else its
+        instructions one by one. A pass applying its schedule stores only
+        ``live`` while another pass follows it, since the next pass writes
+        every other key before reading it."""
+        ready, cycles, trace = self.ready, self.cycles, self.trace
+        t_last, t_max, pending = self.t_last, self.t_max, self.pending
+        gaps, live, peak, tail, rows = run.gaps, run.live, run.peak, run.tail, run.rows
+        for left in range(passes - 1, -1, -1):
+            t = t_last + 1
+            keys, offsets = run.guards[warm]
+            if keys and max(map(sub, map(ready.__getitem__, keys), offsets)) > t:
+                self.t_last, self.t_max, self.pending = t_last, t_max, pending
+                self._issue_each(run.instructions)
+                t_last, t_max, pending = self.t_last, self.t_max, self.pending
+            else:
+                cycles[pending] += 1
+                for cls, n in gaps:
+                    cycles[cls] += n
+                for key, c in live if left else run.stores:
+                    ready[key] = t + c
+                if t + peak > t_max:
+                    t_max = t + peak
+                t_last = t + tail
+                pending = run.last
+                if rows is not None:
+                    trace.extend([(t + c, name, mnemonic) for c, name, mnemonic in rows])
+            warm = True
+        self.t_last, self.t_max, self.pending = t_last, t_max, pending
 
     def _issue_each(self, instructions, waits: dict | None = None) -> None:
         """Issue instructions one by one under the timing contract. With
@@ -550,6 +574,9 @@ class _Clock:
         self.cycles[self.pending] += self.t_max - self.t_last
 
     def _walk_loop(self, count: int, body) -> None:
+        if len(body) == 1 and body[0].__class__ is _Run:
+            self._issue(body[0], False, count)
+            return
         for done in range(count):
             self.run(body, done > 0)
 
@@ -804,7 +831,7 @@ class _Machine:
         # a batched loop checked its addresses up front
         if not self.depth and not 0 <= addr <= len(self.mem) - 8:
             raise SimulationError(f"{ins.mnemonic} address {addr:#x} out of bounds", pc=self.pc)
-        return np.expand_dims(addr, -1) + _BYTE_OFFSETS
+        return np.add.outer(addr, _BYTE_OFFSETS)
 
     def _gather(self, ins) -> tuple:
         """A dl.i/dl.m sector payload from its register group, and its mask

@@ -98,21 +98,36 @@ class QuantConfig:
         return (1 << self.out_bits) - 1
 
 
+def _decode_table(bits: int, signed: bool) -> np.ndarray:
+    """The 8 // bits elements of each byte value, as one int8 each, packed
+    little-endian into one unsigned integer of 8 // bits bytes per byte
+    value. Built in plain Python, so importing the module runs no ufunc."""
+    mask = (1 << bits) - 1
+    # each field value as the byte of its int8 element
+    elements = [(f - (mask + 1)) & 0xFF if signed and f >> (bits - 1) else f
+                for f in range(mask + 1)]
+    table = bytes(elements[byte >> shift & mask]
+                  for byte in range(256) for shift in range(0, 8, bits))
+    return np.frombuffer(table, dtype=f"<u{8 // bits}")
+
+
+_DECODE_TABLES = {(bits, signed): _decode_table(bits, signed)
+                  for bits in (1, 2, 4) for signed in (False, True)}
+
+
 def decode_elements(data, bits: int, signed: bool) -> np.ndarray:
     """Unpack a little-endian bit vector into an int8 element array.
 
     ``data`` is a bytes-like vector or a uint8 array whose last axis holds
     the bytes; leading axes are kept. Elements span at most [-8, 15], and
-    one byte each keeps a batch of decoded rows small.
+    one byte each keeps a batch of decoded rows small. Each byte is looked
+    up in a 256-entry table whose entry holds that byte's elements, and
+    the looked-up entries are read back as their int8 bytes.
     """
     if bits not in (1, 2, 4):
         raise ValueError(f"cannot decode {bits}-bit elements")
     raw = data if isinstance(data, np.ndarray) else np.frombuffer(bytes(data), dtype=np.uint8)
-    fields = (raw[..., None] >> np.arange(0, 8, bits, dtype=np.uint8)) & ((1 << bits) - 1)
-    out = fields.reshape(raw.shape[:-1] + (-1,)).astype(np.int8)
-    if signed:
-        out -= (out >> (bits - 1)) << bits
-    return out
+    return _DECODE_TABLES[bits, signed].take(raw).view(np.int8)
 
 
 def pack_elements(values: np.ndarray, bits: int) -> np.ndarray:

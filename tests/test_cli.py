@@ -151,12 +151,35 @@ def test_verify_does_not_change_cycles(tmp_path):
 def test_cycle_mismatch_still_writes_the_layer_trace(tmp_path):
     layer = cli.load_workload(write_workload(tmp_path / "wl.json", [UNIT_LAYER])).entries[0][1]
     lowering = mapper.lower(layer)
-    walked = sim.execute(lowering.program).total_cycles
+    outcome = sim.execute(lowering.program)
+    walked = outcome.total_cycles
     path = tmp_path / "unit.csv"
-    problem = cli._verify_layer("unit", lowering, sim.TimingModel(), walked + 1, path)
+    off = dataclasses.replace(outcome, total_cycles=walked + 1)
+    problem = cli._verify_layer("unit", lowering, sim.TimingModel(), off, path)
     assert problem == f"unit: extrapolated cycles {walked + 1} != walked cycles {walked}"
     trace = path.read_text().splitlines()
     assert trace[0] == "cycle,class,mnemonic" and any("dc.f" in line for line in trace[1:])
+
+
+def test_verify_names_the_class_a_walk_books_cycles_to(tmp_path, capsys, monkeypatch):
+    # a walk that moves one cycle from storing to loading keeps its total,
+    # so only the per-class comparison catches it
+    run_layer = sim.run_layer
+
+    def misbooked(*args, **kwargs):
+        outcome, output = run_layer(*args, **kwargs)
+        cycles = dict(outcome.cycles_by_class)
+        cycles["storing"] -= 1
+        cycles["loading"] += 1
+        return dataclasses.replace(outcome, cycles_by_class=cycles), output
+
+    monkeypatch.setattr(sim, "run_layer", misbooked)
+    wl = write_workload(tmp_path / "wl.json", [UNIT_LAYER])
+    assert cli.main(["simulate", wl, "--verify", "-o", str(tmp_path / "r.csv")]) == 1
+    booked = sim.execute(mapper.lower(cli.load_workload(wl).entries[0][1]).program)
+    loading = booked.cycles_by_class["loading"]
+    assert (f"verification failed: unit: extrapolated loading cycles {loading} "
+            f"!= walked loading cycles {loading + 1}") in capsys.readouterr().err
 
 
 def test_huge_layer_simulates_timing_only(tmp_path, capsys):

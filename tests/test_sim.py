@@ -549,16 +549,16 @@ _loop = st.builds(Repeat, count=st.integers(0, 9),
 _nodes = st.one_of(_instructions, _loop, st.builds(
     Repeat, count=st.integers(0, 6),
     body=st.lists(st.one_of(_instructions, _loop), min_size=1, max_size=6)))
+_tables = st.builds(
+    TimingModel, memory_latency=st.integers(1, 16),
+    latency=st.dictionaries(st.sampled_from(INSTRUCTION_KINDS), st.integers(1, 16)),
+    issue_interval=st.dictionaries(
+        st.sampled_from(INSTRUCTION_KINDS),
+        st.one_of(st.integers(1, 4), st.integers(5, 64))))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(body=st.lists(_nodes, max_size=8),
-       timing=st.builds(
-           TimingModel, memory_latency=st.integers(1, 16),
-           latency=st.dictionaries(st.sampled_from(INSTRUCTION_KINDS), st.integers(1, 16)),
-           issue_interval=st.dictionaries(
-               st.sampled_from(INSTRUCTION_KINDS),
-               st.one_of(st.integers(1, 4), st.integers(5, 64)))))
+@given(body=st.lists(_nodes, max_size=8), timing=_tables)
 def test_schedule_matches_reference_scheduler(body, timing):
     total, cycles, counts, trace = reference_schedule(body, timing)
     walked_trace = []
@@ -569,6 +569,21 @@ def test_schedule_matches_reference_scheduler(body, timing):
         assert out.cycles_by_class == cycles
         assert out.counts_by_class == counts
     assert walked_trace == trace
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(body=st.lists(_nodes, max_size=8), timing=_tables)
+def test_walk_leaves_the_state_of_the_unrolled_walk(body, timing):
+    # every pass of a single-run loop but the last stores only the keys a
+    # later pass reads before writing them; whether each pass applies its
+    # schedule or issues one by one, the walk ends in the state the unrolled
+    # program, which has no loop, leaves
+    def walked(nodes):
+        clock = _Clock(_kinds(timing), None, walk=True)
+        clock.run(clock.compile(Program(nodes).body)[0])
+        return clock.ready, clock.cycles, clock.t_last, clock.t_max, clock.pending
+
+    assert walked(body) == walked(tuple(_unrolled(body)))
 
 
 _tiny_loop = st.builds(Repeat, count=st.integers(0, 2),

@@ -178,6 +178,28 @@ def test_one_bit_signed_decodes_to_minus_one():
     assert list(decode_elements(b"\x03", 1, False)[:3]) == [1, 1, 0]
 
 
+@pytest.mark.parametrize("bits", [1, 2, 4])
+@pytest.mark.parametrize("signed", [False, True])
+def test_decode_every_byte_value(bits, signed):
+    # element k of a byte is bits [k*bits, (k+1)*bits), sign-extended when
+    # signed; all 256 byte values, as bytes and as a batch of uint8 rows
+    mask, top = (1 << bits) - 1, 1 << (bits - 1)
+    want = [(b >> k & mask) - (2 * top if signed and b >> k & top else 0)
+            for b in range(256) for k in range(0, 8, bits)]
+    flat = decode_elements(bytes(range(256)), bits, signed)
+    assert flat.dtype == np.int8 and flat.tolist() == want
+    rows = np.arange(256, dtype=np.uint8).reshape(4, 2, 32)[1:]
+    batched = decode_elements(rows, bits, signed)
+    per_byte = 8 // bits
+    assert batched.dtype == np.int8 and batched.shape == (3, 2, 32 * per_byte)
+    assert batched.reshape(-1).tolist() == want[64 * per_byte:]
+
+
+def test_decode_rejects_a_width_the_tile_cannot_run():
+    with pytest.raises(ValueError, match="8-bit"):
+        decode_elements(b"\x00", 8, True)
+
+
 def test_compute_does_not_mutate_state():
     rng = np.random.default_rng(5)
     tile = DimcTile(PrecisionMode(2))
