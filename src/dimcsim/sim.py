@@ -654,8 +654,11 @@ class _Body:
 
     One pass reads the resources in ``exposed`` before writing them and
     writes those in ``written``; a Repeat(0) in it does neither.
-    ``accesses`` lists each vload/vstore with the loops that enclose it
-    inside the body, as (is_store, addr, region, ((count, stride), ...)).
+    ``accesses`` groups the vloads and vstores by the loops that enclose
+    them inside the body: it maps (is_store, region, ((count, stride), ...))
+    to their ``addr`` values in ascending order. Their addresses are affine
+    in those loops' indices, so ``_commutes`` takes a group's address
+    interval from its extreme ``addr`` values and the loops' extremes.
     ``first`` is the class of the first instruction or barrier one pass
     executes. The body's passes are ``independent`` when no pass reads what
     another writes: nothing it reads before writing is written at all, and
@@ -664,7 +667,7 @@ class _Body:
     """
 
     def __init__(self, nodes, analyze):
-        self.accesses = []
+        self.accesses: dict = {}
         self.exposed = self.written = 0
         self.first = None
         for node in nodes:
@@ -673,9 +676,9 @@ class _Body:
                 if not node.count:
                     continue
                 inner = analyze(node.body)
-                self.accesses.extend(
-                    (store, addr, region, ((node.count, node.strides[region]),) + loops)
-                    for store, addr, region, loops in inner.accesses)
+                for (store, region, loops), addrs in inner.accesses.items():
+                    loops = ((node.count, node.strides[region]),) + loops
+                    self.accesses.setdefault((store, region, loops), []).extend(addrs)
                 reads, writes = inner.exposed, inner.written
                 cls = inner.first
             elif cls is Barrier:
@@ -683,11 +686,13 @@ class _Body:
             else:
                 reads, writes = _data_effects(node)
                 if cls is VLoad or cls is VStore:
-                    self.accesses.append((cls is VStore, node.addr, node.region, ()))
+                    self.accesses.setdefault((cls is VStore, node.region, ()), []).append(node.addr)
             if self.first is None:
                 self.first = cls
             self.exposed |= reads & ~self.written
             self.written |= writes
+        for addrs in self.accesses.values():
+            addrs.sort()
         self.independent = not self.exposed & self.written and self.first is not DcF
 
 
@@ -770,11 +775,50 @@ class _Machine:
     def _commutes(self, node: Repeat, body: _Body) -> bool:
         """Whether the loop's memory accesses allow any iteration order:
         all in bounds, no load touching a stored byte, no two stores
-        overlapping. Checked over every iteration of the loop and of the
-        loops inside it."""
+        overlapping, over every iteration of the loop and of the loops
+        inside it. Address intervals settle the common case; every other
+        case lists each iteration's address."""
+        return self._spans_commute(node, body) or self._addresses_commute(node, body)
+
+    def _spans_commute(self, node: Repeat, body: _Body) -> bool:
+        """Whether address intervals alone show that the loop commutes.
+
+        A group of accesses spans [lo, hi) from its extreme addresses and
+        its loops' extremes. A group of stores is a cluster whose addresses
+        lie at least 8 bytes apart when its ``addr`` values do and each
+        moving stride, in ascending order, covers the reach of the cluster
+        inside it. Every span in bounds, pairwise disjoint store spans and
+        no load span meeting a store span show it.
+        """
+        # (lo, hi, is_store), hi one past the last byte; the bytes past the
+        # image, and below 0 where the sweep starts, count as stored
+        spans = [(len(self.mem), math.inf, True)]
+        for (store, region, loops), addrs in body.accesses.items():
+            if store and any(after - before < 8 for before, after in zip(addrs, addrs[1:])):
+                return False
+            lo, reach = self.offsets[region] + addrs[0], addrs[-1] + 8 - addrs[0]
+            for count, stride in sorted(((node.count, node.strides[region]),) + loops,
+                                        key=lambda loop: abs(loop[1])):
+                if count > 1:
+                    if store and abs(stride) < reach:
+                        return False
+                    reach += (count - 1) * abs(stride)
+                    lo += (count - 1) * min(stride, 0)
+            spans.append((lo, lo + reach, store))
+        stored = anything = 0
+        for lo, hi, store in sorted(spans):
+            if lo < (anything if store else stored):
+                return False
+            anything = max(anything, hi)
+            if store:
+                stored = max(stored, hi)
+        return True
+
+    def _addresses_commute(self, node: Repeat, body: _Body) -> bool:
+        """``_commutes`` over every iteration's address."""
         loads, stores = [], []
-        for store, addr, region, loops in body.accesses:
-            starts = np.array([self.offsets[region] + addr])
+        for (store, region, loops), addrs in body.accesses.items():
+            starts = np.array(addrs) + self.offsets[region]
             for count, stride in ((node.count, node.strides[region]),) + loops:
                 # a load the loop does not move needs checking only once
                 if stride or store:

@@ -164,14 +164,22 @@ class DimcTile:
     Buffer and rows hold the elements a compute multiplies, one int8 each:
     a load decodes its payload at the tile's precision, and the readback
     packs the elements into bytes again. Loads mutate the tile in place;
-    computes never do. A tile starts with every element zero, which the
-    layer mapper relies on for sectors it leaves untouched.
+    computes change no result; they fill a cache that every load drops.
+    A tile starts with every element zero, which the layer mapper relies
+    on for sectors it leaves untouched.
 
     The state may carry leading batch axes, one per loop the simulator
     runs as a batch: ``push_axis`` adds one of size 1 and ``pop_axis``
     keeps its last entry. Load payloads, incoming partials and compute
     results broadcast against them, so a row that does not vary along an
     axis is stored once for all of it.
+
+    The first compute after a load or an axis change casts the buffer to
+    float32 once. Where the buffer is the larger operand and the rows do
+    not vary along the innermost batch axis, it also multiplies the buffer
+    with all 32 rows in one matmul, and each compute reads one column of
+    it; otherwise each compute takes its own row's dot with the cast
+    buffer.
     """
 
     def __init__(self, mode: PrecisionMode):
@@ -181,6 +189,11 @@ class DimcTile:
         elements = ROW_BITS // mode.bits
         self._memory = np.zeros((ROWS, elements), dtype=np.int8)
         self._input = np.zeros(elements, dtype=np.int8)
+        self._drop_products()
+
+    def _drop_products(self) -> None:
+        # the float32 buffer, and its dots with all rows (or None)
+        self._cast = self._products = None
 
     # -- batch axes --------------------------------------------------------
 
@@ -188,11 +201,13 @@ class DimcTile:
         """Add an innermost batch axis of size 1 to the whole state."""
         self._input = np.expand_dims(self._input, -2)
         self._memory = np.expand_dims(self._memory, -3)
+        self._drop_products()
 
     def pop_axis(self) -> None:
         """Drop the innermost batch axis, keeping its last entry."""
         self._input = self._input[..., -1, :]
         self._memory = self._memory[..., -1, :, :]
+        self._drop_products()
 
     # -- loads ------------------------------------------------------------
 
@@ -209,6 +224,7 @@ class DimcTile:
         self._input = writable(self._input, np.broadcast_shapes(
             self._input.shape, elements.shape[:-1] + self._input.shape[-1:]))
         self._masked_write(self._input, sector, elements, mask)
+        self._drop_products()
 
     def load_memory_row(self, row: int, sector: int, data, valid_mask: int) -> None:
         """Same slice/mask semantics as load_input_sector, applied to the
@@ -220,6 +236,7 @@ class DimcTile:
         self._memory = writable(self._memory, np.broadcast_shapes(
             self._memory.shape, elements.shape[:-1] + self._memory.shape[-2:]))
         self._masked_write(self._memory[..., row, :], sector, elements, mask)
+        self._drop_products()
 
     # -- computes ---------------------------------------------------------
 
@@ -228,7 +245,8 @@ class DimcTile:
         incoming partial, wrapped into the 24-bit accumulator range.
 
         The whole 1024-bit row participates: elements the mapper never
-        loaded stay zero and contribute nothing. State is not modified.
+        loaded stay zero and contribute nothing. No result changes: the
+        call only fills the cache of the buffer state's products.
         Over batch axes (or an int64 array of incoming partials) the
         result is an int64 array; otherwise it is one integer.
         """
@@ -236,8 +254,16 @@ class DimcTile:
         # float32 sums integers exactly while every partial sum stays below
         # 2**24, in any order; a row's |dot| is at most 1024 * 1 (1-bit),
         # 512 * 9 (2-bit) or 256 * 225 = 57,600 (4-bit)
-        dot = np.vecdot(self._input.astype(np.float32),
-                        self._memory[..., row, :].astype(np.float32))
+        if self._cast is None:
+            self._cast = self._input.astype(np.float32)
+            memory = self._memory
+            if memory.ndim > 2 and memory.shape[-3] == 1 and self._input.size > memory.size:
+                self._products = np.matmul(
+                    self._cast, np.swapaxes(memory[..., 0, :, :], -1, -2).astype(np.float32))
+        if self._products is not None:
+            dot = self._products[..., row]
+        else:
+            dot = np.vecdot(self._cast, self._memory[..., row, :].astype(np.float32))
         return wrap_partial(dot.astype(np.int64) + incoming)
 
     def compute_row_final(self, row: int, incoming, quant: QuantConfig):

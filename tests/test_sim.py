@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimcsim import oracle
+from dimcsim.cli import load_workload
 from dimcsim.isa import DcF, DcP, DlI, DlM
 from dimcsim.mapper import LayerDescriptor, lower
 from dimcsim.sim import (CLASSES, INSTRUCTION_KINDS, NUM_VREGS, Barrier, Program, Repeat,
@@ -668,3 +669,130 @@ def test_cold_guard_offsets_are_exact(run, timing):
         assert tuple((c, n) for c, n in enumerate(clock.cycles[:3]) if n) == compiled.gaps
         assert clock.trace == compiled.rows
         assert issued(key, offset + 1).trace != compiled.rows
+
+
+def _starts(nodes, offsets):
+    """(is_store, start address) of every vload/vstore the unrolled nodes run."""
+    for node in nodes:
+        if isinstance(node, Repeat):
+            for i in range(node.count):
+                yield from _starts(node.body, [o + i * s for o, s in zip(offsets, node.strides)])
+        elif isinstance(node, (VLoad, VStore)):
+            yield isinstance(node, VStore), node.addr + offsets[node.region]
+
+
+def _commutes_by_brute_force(node, offsets, size) -> bool:
+    accesses = list(_starts([node], offsets))
+    stores = [a for store, a in accesses if store]
+    return (all(0 <= a <= size - 8 for _, a in accesses)
+            and all(abs(a - b) >= 8 for i, a in enumerate(stores) for b in stores[:i])
+            and all(abs(a - b) >= 8 for store, a in accesses if not store for b in stores))
+
+
+def _commute_checks(node, offsets, size) -> tuple:
+    """(interval check, materialized check) of a top-level loop."""
+    machine = _Machine(prog([node]), bytearray(size))
+    machine.offsets = list(offsets)
+    body = machine.analyze(node.body)
+    return machine._spans_commute(node, body), machine._addresses_commute(node, body)
+
+
+_addrs = st.one_of(st.integers(0, 8).map(lambda k: 8 * k), st.integers(0, 64))
+_moves = st.one_of(st.sampled_from([-16, -8, 0, 8, 16, 24]), st.integers(-20, 20))
+_region_moves = st.tuples(_moves, _moves, _moves)
+_accesses = st.one_of(st.builds(VLoad, vd=_regs, addr=_addrs, region=st.integers(0, 2)),
+                      st.builds(VStore, vs1=_regs, addr=_addrs, region=st.integers(0, 2)))
+# the vstores of one output record: one region, under one loop nest
+_store_records = st.lists(st.builds(VStore, vs1=_regs, addr=_addrs, region=st.just(2)),
+                          min_size=2, max_size=3)
+_access_loops = st.builds(Repeat, count=st.integers(0, 3),
+                          body=st.one_of(st.lists(_accesses, min_size=1, max_size=3),
+                                         _store_records),
+                          strides=_region_moves)
+
+
+@st.composite
+def _access_nests(draw):
+    """A loop of vloads, vstores and loops of them, region offsets that put
+    the first access at byte -1, 0 or later, and an image that the last
+    access ends one byte past, exactly at, or before."""
+    node = Repeat(draw(st.integers(1, 4)),
+                  draw(st.lists(st.one_of(_accesses, _access_loops), min_size=1, max_size=4)),
+                  draw(_region_moves))
+    offsets = draw(st.tuples(*[st.integers(0, 24)] * 3))
+    starts = [a for _, a in _starts([node], offsets)] or [0]
+    shift = draw(st.sampled_from([-1, 0, 0, 8])) - min(starts)
+    offsets = tuple(o + shift for o in offsets)
+    end = max(starts) + shift + 8
+    return node, offsets, max(0, end + draw(st.sampled_from([-1, 0, 0, 16])))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(nest=_access_nests())
+def test_interval_check_agrees_with_every_address(nest):
+    # negative strides, vstores that interleave across iterations, loads
+    # over stored bytes, images the accesses end at or one byte past, and
+    # Repeat(0)/Repeat(1) inner loops: wherever the interval check decides,
+    # it agrees with the check over every address
+    node, offsets, size = nest
+    spans, addresses = _commute_checks(node, offsets, size)
+    assert addresses == _commutes_by_brute_force(node, offsets, size)
+    assert addresses or not spans
+
+
+@pytest.mark.parametrize("body, strides, size, decided, commutes", [
+    # two vstores per pass, 8 apart, under a 16-byte stride: one cluster
+    ((VStore(1, 0, 2), VStore(2, 8, 2)), (0, 0, 16), 48, True, True),
+    # the same cluster ending one byte past the image
+    ((VStore(1, 0, 2), VStore(2, 8, 2)), (0, 0, 16), 47, False, False),
+    # stores 24 apart under an 8-byte stride interleave without meeting
+    ((VStore(1, 0, 2), VStore(2, 24, 2)), (0, 0, 8), 48, False, True),
+    # ... and under a 16-byte stride the second pass meets the first
+    ((VStore(1, 0, 2), VStore(2, 16, 2)), (0, 0, 16), 48, False, False),
+    # a negative stride walks down from the base; the load stays below it
+    ((VLoad(1, 0, 1), VStore(1, 40, 2)), (0, 8, -8), 48, True, True),
+    # a Repeat(0) adds nothing, a Repeat(1) does not move its store
+    ((Repeat(0, (VStore(1, 0, 2),)), Repeat(1, (VStore(1, 0, 2),), (0, 0, 64))),
+     (0, 0, 8), 24, True, True),
+    # two vstores of one pass 7 bytes apart
+    ((VStore(1, 0, 2), VStore(2, 7, 2)), (0, 0, 16), 48, False, False),
+    # a load of the bytes the next pass stores
+    ((VLoad(1, 8, 2), VStore(1, 0, 2)), (0, 0, 8), 48, False, False),
+], ids=["cluster", "one-past", "interleaved", "overlapping", "negative", "empty-and-once",
+        "seven-apart", "load-over-store"])
+def test_interval_check_decides_the_common_cases(body, strides, size, decided, commutes):
+    assert _commute_checks(Repeat(3, body, strides), (0, 0, 0), size) == (decided, commutes)
+
+
+def test_interval_check_decides_every_resnet50_loop():
+    for name, layer in load_workload("resnet50").entries:
+        lowering = lower(layer)
+        for node in lowering.program.body:
+            if isinstance(node, Repeat):
+                checks = _commute_checks(node, (0, 0, 0), lowering._layout.total_bytes)
+                assert checks == (True, True), name
+
+
+@pytest.mark.parametrize("name, loads", [("conv2_1_a", 33), ("conv4_2_a", 144),
+                                         ("fc1000", 160)])
+def test_verify_layers_make_one_tile_call_per_instruction_of_a_batched_pass(
+        monkeypatch, name, loads):
+    # the benchmark's tile call counts mean this many calls per layer
+    layer = dict(load_workload("resnet50").entries)[name]
+    computes = _counting_computes(monkeypatch)
+    load_calls = []
+    for method in ("load_input_sector", "load_memory_row"):
+        real = getattr(DimcTile, method)
+        monkeypatch.setattr(DimcTile, method,
+                            lambda self, *args, real=real: load_calls.append(1) or real(self, *args))
+    rng = np.random.default_rng(0)
+    inputs = rng.integers(*layer.precision.input_range(), (layer.h, layer.w, layer.ich),
+                          endpoint=True)
+    weights = rng.integers(*layer.precision.weight_range(),
+                           (layer.och, layer.kh, layer.kw, layer.ich), endpoint=True)
+    lowering = lower(layer)
+    _, got = run_layer(lowering, None, inputs, weights)
+    assert (len(computes), len(load_calls)) == (32, loads)
+    want = oracle.quantize_partials(oracle.conv_partials(inputs, weights, layer.stride,
+                                                         layer.padding), lowering.quant)
+    assert np.array_equal(got, want)

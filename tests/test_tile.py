@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimcsim.tile import (DimcTile, PrecisionMode, QuantConfig, ROW_BITS, ROW_BYTES,
                           decode_elements, pack_elements, wrap_partial)
@@ -307,3 +309,145 @@ def test_batch_axis_matches_one_tile_per_entry():
     batched.pop_axis()
     assert batched.memory_row(5) == one.memory_row(5)
     assert batched.input_buffer() == one.input_buffer()
+
+
+class _Reference:
+    """The tile without any cache: int64 state, a product per compute."""
+
+    def __init__(self, mode):
+        self.mode = mode
+        self.input = np.zeros(ROW_BITS // mode.bits, dtype=np.int64)
+        self.memory = np.zeros((32, ROW_BITS // mode.bits), dtype=np.int64)
+
+    def push_axis(self):
+        self.input, self.memory = self.input[..., None, :], self.memory[..., None, :, :]
+
+    def pop_axis(self):
+        self.input, self.memory = self.input[..., -1, :], self.memory[..., -1, :, :]
+
+    @staticmethod
+    def _written(target, sector, elements, mask):
+        lead = np.broadcast_shapes(target.shape[:-1], elements.shape[:-1])
+        target = np.broadcast_to(target, lead + target.shape[-1:]).copy()
+        per_slice = elements.shape[-1] // 4
+        for i in range(4):
+            if mask >> i & 1:
+                lo = sector * elements.shape[-1] + i * per_slice
+                target[..., lo:lo + per_slice] = elements[..., i * per_slice:(i + 1) * per_slice]
+        return target
+
+    def load_input_sector(self, sector, data, mask):
+        elements = decode_elements(data, self.mode.bits, self.mode.input_signed)
+        self.input = self._written(self.input, sector, elements, mask)
+
+    def load_memory_row(self, row, sector, data, mask):
+        elements = decode_elements(data, self.mode.bits, self.mode.weight_signed)
+        rows = np.moveaxis(self.memory, -2, 0)
+        rows = np.broadcast_to(rows, rows.shape[:1] + np.broadcast_shapes(
+            rows.shape[1:-1], elements.shape[:-1]) + rows.shape[-1:]).copy()
+        rows[row] = self._written(rows[row], sector, elements, mask)
+        self.memory = np.moveaxis(rows, 0, -2)
+
+    def compute_row(self, row, incoming):
+        return wrap_partial((self.input * self.memory[..., row, :]).sum(-1) + incoming)
+
+
+# leading payload axes (outer, inner) of input sectors and weight rows for
+# the shapes the verify layers batch: one tile, the buffer batched over
+# positions (conv2_1_a), and the weights batched over kernel groups on the
+# outer axis with many positions (conv4_2_a) or one (fc1000)
+_BATCHES = {"unbatched": ((), ()), "buffer": ((1, 70), (2, 1)),
+            "weights": ((1, 5), (3, 1)), "weights-one-position": ((1, 1), (4, 1))}
+
+_tile_ops = st.lists(st.one_of(
+    st.tuples(st.just("input"), st.integers(0, 3), st.integers(0, 15), st.booleans()),
+    st.tuples(st.just("row"), st.integers(0, 3), st.integers(0, 3), st.integers(0, 15),
+              st.booleans()),
+    st.tuples(st.just("compute"), st.integers(0, 3), st.integers(-(1 << 23), 1 << 23)),
+    st.tuples(st.just("final"), st.integers(0, 3), st.integers(-(1 << 23), 1 << 23),
+              st.integers(0, 6)),
+    st.tuples(st.just("push")), st.tuples(st.just("pop"))), min_size=4, max_size=30)
+
+
+@pytest.mark.parametrize("batch", list(_BATCHES), ids=list(_BATCHES))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ops=_tile_ops, seed=st.integers(0, 2**16), mode=st.sampled_from(
+    [PrecisionMode(4), PrecisionMode(2, True, False), PrecisionMode(1, False, True)]))
+def test_interleaved_loads_axes_and_computes_match_a_tile_without_cache(batch, ops, seed, mode):
+    # every load and axis change between two computes must drop what the
+    # first one cached: a stale product would differ from the reference.
+    # The tile starts at the batch's depth with its buffer and rows 0-3
+    # filled; an axis pushed past that depth takes payloads of size 1.
+    rng = np.random.default_rng(seed)
+    tile, ref = DimcTile(mode), _Reference(mode)
+    leads = _BATCHES[batch]
+    top = len(leads[0])
+    depth = 0
+
+    def load(kind, *args, batched=True):
+        lead = (leads[kind == "row"] + (1,))[:depth] if batched else ()
+        data = rng.integers(0, 256, lead + (32,), dtype=np.uint8)
+        name = "load_input_sector" if kind == "input" else "load_memory_row"
+        getattr(tile, name)(*args[:-1], data if lead else data.tobytes(), args[-1])
+        getattr(ref, name)(*args[:-1], data, args[-1])
+
+    def change_axis(kind):
+        nonlocal depth
+        getattr(tile, kind + "_axis")()
+        getattr(ref, kind + "_axis")()
+        depth += 1 if kind == "push" else -1
+
+    for _ in range(top):
+        change_axis("push")
+    for sec in range(4):
+        load("input", sec, 0b1111)
+        for row in range(4):
+            load("row", row, sec, 0b1111)
+    for kind, *args in ops:
+        if kind in ("input", "row"):
+            load(kind, *args[:-1], batched=args[-1])
+        elif kind == "compute":
+            got, want = tile.compute_row(*args), ref.compute_row(*args)
+            assert np.shape(got) == want.shape and np.array_equal(got, want)
+        elif kind == "final":
+            row, incoming, shift = args
+            got = tile.compute_row_final(row, incoming, QuantConfig(shift, 4))
+            want = np.minimum(np.maximum(ref.compute_row(row, incoming), 0) >> shift, 15)
+            assert np.shape(got) == want.shape and np.array_equal(got, want)
+        elif kind == "push" and depth <= top:
+            change_axis("push")
+        elif kind == "pop" and depth:
+            change_axis("pop")
+
+
+def test_buffer_larger_than_shared_rows_takes_one_product_per_buffer_state():
+    # conv2_1_a's shapes: a buffer batched over 70 positions against two
+    # kernel groups' rows that do not vary over positions. The first compute
+    # multiplies the buffer with all rows; each load and axis change drops
+    # the product. Every element is the one of largest |product|, the
+    # tightest point of the bound that keeps the float32 product exact.
+    mode = PrecisionMode(4, False, False)
+    x_big, w_big = _largest_product(mode)
+    tile = DimcTile(mode)
+    tile.push_axis()
+    tile.push_axis()
+    elements = ROW_BITS // mode.bits
+    x_sector = pack_elements(np.full(elements // 4, x_big), mode.bits)
+    w_sector = pack_elements(np.full(elements // 4, w_big), mode.bits)
+    changes = [lambda: tile.load_memory_row(9, 3, np.tile(w_sector, (2, 1, 1)), 0b1111),
+               lambda: tile.load_input_sector(3, np.tile(x_sector, (1, 70, 1)), 0b1111),
+               tile.pop_axis, tile.push_axis]
+    for s in range(4):
+        tile.load_input_sector(s, np.tile(x_sector, (1, 70, 1)), 0b1111)
+        tile.load_memory_row(9, s, np.tile(w_sector, (2, 1, 1)), 0b1111)
+    for change in changes:
+        assert tile._products is None
+        want = wrap_partial(elements * x_big * w_big + 5)
+        got = tile.compute_row(9, 5)
+        if tile._input.ndim == 3:
+            assert tile._products is not None
+            assert got.shape == (2, 70)
+        assert np.all(got == want)
+        assert np.all(tile.compute_row(8, 5) == 5)
+        change()
+        assert tile._cast is None and tile._products is None
