@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, baseline, isa, mapper, metrics, oracle, sim
-from .tile import PrecisionMode
+from . import __version__, baseline, isa, mapper, metrics, sim
+from .geometry import PrecisionMode
 
 BUILTIN_WORKLOADS = ("resnet50",)
 
@@ -117,6 +115,7 @@ def load_workload(source) -> WorkloadFile:
 
 
 def _random_tensors(layer: mapper.LayerDescriptor, seed: int):
+    import numpy as np
     rng = np.random.default_rng(seed)
     lo, hi = layer.precision.input_range()
     inputs = rng.integers(lo, hi + 1, size=(layer.h, layer.w, layer.ich), dtype=np.int64)
@@ -134,13 +133,15 @@ def _verify_layer(name, lowering, timing, extrapolated, trace_path):
     Returns an error string on mismatch, None when the layer checks out;
     raises WorkloadError when the layer is too large to run functionally.
     """
+    import numpy as np
+    from . import oracle
     layer = lowering.layer
     # the two int64 tensors, then the memory image marshalled from them
     need = (8 * layer.ich * (layer.h * layer.w + layer.och * layer.kh * layer.kw)
             + lowering._layout.total_bytes)
     try:
-        if need > np.iinfo(np.intp).max:
-            # numpy cannot even index it: treat it as a failed allocation
+        if need > sys.maxsize:
+            # numpy cannot index past sys.maxsize: treat it as a failed allocation
             raise MemoryError
         inputs, weights = _random_tensors(layer, _VERIFY_SEED ^ zlib.crc32(name.encode()))
     except MemoryError:

@@ -54,11 +54,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-
+from .geometry import ROW_BITS, ROWS, PrecisionMode, QuantConfig
 from .isa import DcF, DcP, DlI, DlM
 from .sim import Barrier, Program, Repeat, VClear, VLoad, VStore
-from .tile import PrecisionMode, QuantConfig, ROW_BITS, ROWS, pack_elements
 
 REG_ZERO = 0
 REG_STAGE = 1
@@ -325,6 +323,8 @@ class Lowering:
         ``inputs`` has shape (h, w, ich) and ``weights`` (och, kh, kw, ich);
         values must lie in the precision mode's element ranges.
         """
+        import numpy as np
+        from .tile import pack_elements
         layer, layout = self.layer, self._layout
         mode = layer.precision
         inputs = self._checked(inputs, (layer.h, layer.w, layer.ich),
@@ -351,6 +351,7 @@ class Lowering:
         Quantized flows return nibble values, partial flows the
         sign-extended 24-bit partial sums.
         """
+        import numpy as np
         layer, layout = self.layer, self._layout
         positions = layer.oh * layer.ow
 
@@ -376,6 +377,7 @@ class Lowering:
 
     @staticmethod
     def _checked(tensor, shape, bounds, name) -> np.ndarray:
+        import numpy as np
         arr = np.asarray(tensor)
         if arr.shape != shape:
             raise MappingError(f"{name} shape {arr.shape} does not match layer {shape}")

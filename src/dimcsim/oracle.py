@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tile import PARTIAL_BITS, QuantConfig
+from .geometry import PARTIAL_BITS, QuantConfig
 
 # output channels whose weights conv_partials casts in one piece
 _CAST_BLOCK = 128

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from dimcsim import cli, isa, mapper, metrics, sim
+from dimcsim.geometry import PrecisionMode, QuantConfig
 from dimcsim.isa import DcF, DcP, DlI, DlM
-from dimcsim.tile import PrecisionMode, QuantConfig
 
 
 def criterion(num, desc, ok, detail=""):

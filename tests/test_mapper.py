@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from dimcsim import oracle
 from dimcsim.cli import load_workload
+from dimcsim.geometry import PrecisionMode, QuantConfig
 from dimcsim.isa import DcF, DcP, DlI, DlM
 from dimcsim.mapper import (LayerDescriptor, MappingError,
                             NotDimcEligibleError, lower, ops_count, plan_mapping)
 from dimcsim.sim import (INSTRUCTION_KINDS, Program, Repeat, TimingModel, VLoad, VStore,
                          execute, run_layer)
-from dimcsim.tile import PrecisionMode, QuantConfig
 
 
 def conv(ich, och, hw=4, k=1, stride=1, pad=0, mode=PrecisionMode(4)):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dimcsim import oracle
-from dimcsim.tile import wrap_partial
+from dimcsim.geometry import wrap_partial
 
 
 def _reference(inputs, weights, stride, padding):

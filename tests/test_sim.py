@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from dimcsim import oracle
 from dimcsim.cli import load_workload
+from dimcsim.geometry import PrecisionMode, QuantConfig
 from dimcsim.isa import DcF, DcP, DlI, DlM
+from dimcsim.machine import _Machine
 from dimcsim.mapper import LayerDescriptor, lower
 from dimcsim.sim import (CLASSES, INSTRUCTION_KINDS, NUM_VREGS, Barrier, Program, Repeat,
                          SimulationError, TimingModel, VClear, VLoad, VStore, _Clock,
-                         _Machine, _NEVER, _kinds, execute, run_layer)
-from dimcsim.tile import DimcTile, PrecisionMode, QuantConfig
+                         _NEVER, _kinds, execute, run_layer)
+from dimcsim.tile import DimcTile
 
 
 def prog(body, **kw):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimcsim.tile import (DimcTile, PrecisionMode, QuantConfig, ROW_BITS, ROW_BYTES,
-                          decode_elements, pack_elements, wrap_partial)
+from dimcsim.geometry import ROW_BITS, ROW_BYTES, PrecisionMode, QuantConfig, wrap_partial
+from dimcsim.tile import DimcTile, decode_elements, pack_elements
 
 
 def sector(pattern):
