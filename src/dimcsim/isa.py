@@ -15,20 +15,23 @@ and the decoder rejects words that violate that.
 
 Each record declares this layout once, as ``_bits(shift, lo, hi)`` next to
 each dataclass field; a field is stored as ``value - lo``. From those
-declarations ``_custom`` generates the record's constructor, its encoder,
-decoder and canonical text form, and the bits its funct3 may set. They are
-generated as straight-line code, not loops over the layout, because the
+declarations ``_custom`` generates the record's constructor, its encoder
+and decoder, the assembler's parser (``{name: text}`` to word) and the word
+formatter (word to canonical text), and the bits its funct3 may set. They
+are generated as straight-line code, not loops over the layout, because the
 mapper constructs every record it lowers: a constructor that writes the
 slots directly costs less than the ``object.__setattr__`` calls of a frozen
-dataclass ``__init__``.
+dataclass ``__init__``. Neither text path builds a record.
 
 Field types (plain ``int``, not bool) and ranges are checked by the record
-constructors, and so by the assembler. ``decode`` builds its records
-without that check, because its bit masks already bound every field.
+constructors and the parser. ``decode`` builds its records without that
+check, because its bit masks already bound every field.
 
 Assembly text is one instruction per line, mnemonic followed by name=value
 fields in any order (``dl.m vs1=4 nvec=2 sec=0 mask=0b0011 m_row=7``).
-Values accept decimal, 0x and 0b forms. ``#`` starts a comment. Binary
+Values accept decimal, 0x and 0b forms. ``#`` starts a comment. A line the
+parser refuses is walked again token by token, only to raise an
+``AsmError`` naming the first offending token and its column. Binary
 streams are little-endian sequences of 32-bit words.
 """
 
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, fields
+from typing import NoReturn
 
 OPCODE_CUSTOM0 = 0b0001011
 
@@ -74,7 +78,7 @@ class AsmError(ValueError):
         self.col = col
 
 
-def _report_bad_field(cls, values) -> None:
+def _report_bad_field(cls, values) -> NoReturn:
     for f, value in zip(fields(cls), values):
         _, lo, hi = f.metadata["bits"]
         if type(value) is not int or not lo <= value <= hi:
@@ -90,35 +94,43 @@ def _bits(shift: int, lo: int, hi: int):
 
 
 _ENCODERS = {}
-_FORMATTERS = {}
-_DECODERS = {}  # funct3 -> (bits a word may set, decoder)
+_PARSERS = {}  # mnemonic -> parser
+# a word's opcode and funct3 bits (word & 0x707F) -> (its reserved bits,
+# decoder, formatter)
+_WORDS = {}
 
 
 def _custom(mnemonic: str, funct3: int):
     """Make a class the frozen, slotted record of instruction ``mnemonic``
-    and generate its constructor, encoder, decoder and canonical text from
-    its ``_bits`` declarations. The constructor and decoder write each field
-    through its slot descriptor, which the frozen ``__setattr__`` does not
-    guard; the decoder skips the constructor's check."""
+    and generate its constructor, encoder, decoder, parser and word
+    formatter from its ``_bits`` declarations. The constructor and decoder
+    write each field through its slot descriptor, which the frozen
+    ``__setattr__`` does not guard; the decoder skips the constructor's
+    check. The parser takes ``{name: text}`` and returns the word, raising
+    on a wrong field count, a missing name, a bad integer or a value out of
+    range; the formatter reads each field straight from the word bits."""
     def build(cls):
         cls = dataclass(frozen=True, slots=True, init=False)(cls)
         cls.mnemonic = cls.kind = mnemonic
         names = [f.name for f in fields(cls)]
         args = ", ".join(names)
         base, used = OPCODE_CUSTOM0 | funct3 << 12, 0x7F | 0x7 << 12
-        ranges, encoded, decoded, text = [], [], [], [mnemonic]
+        # ``packed`` ORs the stored fields onto the base; {0} prefixes each
+        # field name ("instr." in the encoder, nothing in the parser)
+        ranges, packed, decoded, parsed, text = [], [str(base)], [], [], [mnemonic]
         for f in fields(cls):
             name, (shift, lo, hi) = f.name, f.metadata["bits"]
             used |= hi - lo << shift
             ranges.append(f"{lo} <= {name} <= {hi}")
-            stored, bits = f"instr.{name}", f"word >> {shift} & {hi - lo}"
+            stored, bits = f"{{0}}{name}", f"word >> {shift} & {hi - lo}"
             if lo:
                 stored, bits = f"({stored} - {lo})", f"({bits}) + {lo}"
-            encoded.append(f"{stored} << {shift}")
+            packed.append(f"{stored} << {shift}")
             decoded.append(f"    _set_{name}(obj, {bits})")
+            parsed.append(f"    {name} = int(texts[{name!r}], 0)")
             width = (hi - lo).bit_length()
-            text.append(f"{name}=0b{{instr.{name}:0{width}b}}" if name == "mask"
-                        else f"{name}={{instr.{name}}}")
+            text.append(f"{name}=0b{{{bits}:0{width}b}}" if name == "mask"
+                        else f"{name}={{{bits}}}")
         source = "\n".join([
             f"def __init__(self, {args}):",
             f"    if not ({' is '.join(f'type({n})' for n in names)} is int",
@@ -130,8 +142,15 @@ def _custom(mnemonic: str, funct3: int):
             *decoded,
             "    return obj",
             "def encode(instr):",
-            f"    return {' | '.join([str(base), *encoded])}",
-            "def text(instr):",
+            f"    return {' | '.join(packed).format('instr.')}",
+            "def parse(texts):",
+            f"    if len(texts) != {len(names)}:",
+            "        raise ValueError(texts)",
+            *parsed,
+            f"    if not ({' and '.join(ranges)}):",
+            "        raise ValueError(texts)",
+            f"    return {' | '.join(packed).format('')}",
+            "def text(word):",
             f"    return f{' '.join(text)!r}"])
         namespace = {"cls": cls, "_new": object.__new__, "_report_bad_field": _report_bad_field,
                      **{f"_set_{name}": cls.__dict__[name].__set__ for name in names}}
@@ -139,8 +158,8 @@ def _custom(mnemonic: str, funct3: int):
         cls.__init__ = namespace["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
         _ENCODERS[cls] = namespace["encode"]
-        _FORMATTERS[cls] = namespace["text"]
-        _DECODERS[funct3] = (used, namespace["decode"])
+        _PARSERS[mnemonic] = namespace["parse"]
+        _WORDS[base] = (~used, namespace["decode"], namespace["text"])
         return cls
     return build
 
@@ -205,18 +224,16 @@ def encode(instr: CustomInstruction) -> int:
 
 def decode(word: int) -> CustomInstruction:
     """Decode a 32-bit word, rejecting anything encode cannot produce."""
+    entry = _WORDS.get(word & 0x707F)
+    if entry is not None and not word & entry[0]:
+        return entry[1](word)
     if not 0 <= word <= 0xFFFFFFFF:
         raise DecodeError(f"not a 32-bit word: {word:#x}")
     if word & 0x7F != OPCODE_CUSTOM0:
         raise NotCustom0Error(f"opcode {word & 0x7F:#09b} is not custom-0")
-    funct3 = (word >> 12) & 0x7
-    try:
-        used, decoder = _DECODERS[funct3]
-    except KeyError:
-        raise UnknownFunct3Error(f"funct3 {funct3:#05b} does not name an instruction") from None
-    if word & ~used & 0xFFFFFFFF:
-        raise ReservedBitsError(f"reserved bits set in {word:#010x}")
-    return decoder(word)
+    if entry is None:
+        raise UnknownFunct3Error(f"funct3 {word >> 12 & 0x7:#05b} does not name an instruction")
+    raise ReservedBitsError(f"reserved bits set in {word:#010x}")
 
 
 _BY_MNEMONIC = {cls.mnemonic: cls for cls in (DlI, DlM, DcP, DcF)}
@@ -226,57 +243,74 @@ def assemble(text: str) -> list[int]:
     """Assemble instruction text into a list of 32-bit words."""
     words = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = line.split()
+        tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
-        mnemonic = tokens[0]
-        cls = _BY_MNEMONIC.get(mnemonic.lower())
-        if cls is None:
-            raise AsmError(lineno, raw.index(mnemonic) + 1, f"unknown mnemonic {mnemonic!r}")
-        wanted = cls.__match_args__  # the field names, in order
-        values = {}
-        for tok in tokens[1:]:
-            col = raw.index(tok) + 1
-            name, eq, val = tok.partition("=")
-            if not eq:
-                raise AsmError(lineno, col, f"expected name=value, got {tok!r}")
-            if name not in wanted:
-                raise AsmError(lineno, col, f"{mnemonic} has no field {name!r}")
-            if name in values:
-                raise AsmError(lineno, col, f"duplicate field {name!r}")
-            try:
-                values[name] = int(val, 0)
-            except ValueError:
-                raise AsmError(lineno, col, f"bad integer {val!r}") from None
-        missing = [n for n in wanted if n not in values]
-        if missing:
-            raise AsmError(lineno, 1, f"{mnemonic} missing field(s): {', '.join(missing)}")
         try:
-            words.append(encode(cls(**values)))
-        except EncodingError as exc:
-            raise AsmError(lineno, 1, str(exc)) from None
+            texts = dict(tok.split("=") for tok in tokens[1:])
+            if len(texts) == len(tokens) - 1:  # else a name repeats
+                words.append(_PARSERS[tokens[0].lower()](texts))
+                continue
+        except (KeyError, ValueError):
+            pass
+        _reject(lineno, raw, tokens)
     return words
+
+
+def _reject(lineno: int, raw: str, tokens: list[str]) -> NoReturn:
+    """Raise the AsmError of a line the parser refused, naming its first
+    offending token at that token's own column."""
+    mnemonic = tokens[0]
+    end = raw.index(mnemonic)
+    cls = _BY_MNEMONIC.get(mnemonic.lower())
+    if cls is None:
+        raise AsmError(lineno, end + 1, f"unknown mnemonic {mnemonic!r}")
+    wanted = cls.__match_args__  # the field names, in order
+    values = {}
+    for tok in tokens[1:]:
+        # the first occurrence past the previous token is this token: only
+        # whitespace lies between them
+        start = raw.index(tok, end)
+        end = start + len(tok)
+        name, eq, val = tok.partition("=")
+        if not eq:
+            raise AsmError(lineno, start + 1, f"expected name=value, got {tok!r}")
+        if name not in wanted:
+            raise AsmError(lineno, start + 1, f"{mnemonic} has no field {name!r}")
+        if name in values:
+            raise AsmError(lineno, start + 1, f"duplicate field {name!r}")
+        try:
+            values[name] = int(val, 0)
+        except ValueError:
+            raise AsmError(lineno, start + 1, f"bad integer {val!r}") from None
+    missing = [n for n in wanted if n not in values]
+    if missing:
+        raise AsmError(lineno, 1, f"{mnemonic} missing field(s): {', '.join(missing)}")
+    try:
+        _report_bad_field(cls, tuple(values[n] for n in wanted))
+    except EncodingError as exc:
+        raise AsmError(lineno, 1, str(exc)) from None
 
 
 def format_instruction(instr: CustomInstruction) -> str:
     """Canonical one-line assembly form of an instruction."""
-    try:
-        formatter = _FORMATTERS[instr.__class__]
-    except KeyError:
-        raise EncodingError(f"not a custom instruction: {instr!r}") from None
-    return formatter(instr)
+    word = encode(instr)
+    return _WORDS[word & 0x707F][2](word)
 
 
 def disassemble(words) -> str:
-    """Disassemble a word sequence into canonical text, one per line; a
-    DecodeError names the bad word's index and byte offset."""
+    """Disassemble a word sequence into canonical text, one per line,
+    formatted straight from the word bits. A word ``decode`` rejects raises
+    decode's error, prefixed with the word's index and byte offset."""
     lines = []
     for i, word in enumerate(words):
-        try:
-            lines.append(format_instruction(decode(word)))
-        except DecodeError as exc:
-            raise type(exc)(f"word {i} (byte offset {4 * i}): {exc}") from None
+        entry = _WORDS.get(word & 0x707F)
+        if entry is None or word & entry[0]:
+            try:
+                decode(word)  # raises the word's DecodeError
+            except DecodeError as exc:
+                raise type(exc)(f"word {i} (byte offset {4 * i}): {exc}") from None
+        lines.append(entry[2](word))
     return "\n".join(lines) + "\n"
 
 
