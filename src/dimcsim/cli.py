@@ -192,8 +192,11 @@ def cmd_simulate(args) -> int:
     trace_paths = {}
     if args.trace:
         root = Path(args.trace).resolve()
-        trace_paths = {name: (root / f"{name}.csv").resolve() for name, _ in workload.entries}
-        for name, path in trace_paths.items():
+        for name, _ in workload.entries:
+            try:
+                path = trace_paths[name] = (root / f"{name}.csv").resolve()
+            except ValueError as exc:  # a NUL byte names no file
+                raise WorkloadError(f"layer {name!r}: cannot name a trace file ({exc})") from None
             if path.parent != root:
                 raise WorkloadError(f"layer {name!r}: trace file would fall outside {args.trace}")
         root.mkdir(parents=True, exist_ok=True)

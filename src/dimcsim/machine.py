@@ -13,16 +13,17 @@ The data half runs a Repeat as one batch when a static pass over its body
 (``_Body``) shows that no iteration reads state another one writes: every
 register byte, input-buffer slice or weight-row slice the body reads is
 written earlier in the same iteration or nowhere in the body, and the body
-does not open with a dc.f. Its memory accesses are checked too, over every
-iteration: all in bounds, no load touching a stored byte, no two stores
-overlapping. The state then gains an iteration axis: vloads and vstores
-become gathers and scatters at ``addr + offset + n * stride``, the tile
-loads and computes run on arrays, and the state after the Repeat is the
-last iteration's. State a body leaves alone keeps an axis of size 1, so a
-position loop nested in a batched group loop reads each group's weight
-rows without copying them. A body that fails either check is walked
-iteration by iteration through the same code, where an out-of-bounds
-access raises with the pc the unrolled program would report.
+does not open with a dc.f. Address intervals over every iteration must also
+show its memory accesses all in bounds, no load touching a stored byte and
+no two stores overlapping. The state then gains an iteration axis: vloads
+and vstores become gathers and scatters at ``addr + offset + n * stride``,
+the tile loads and computes run on arrays, and the state after the Repeat is
+the last iteration's. State a body leaves alone keeps an axis of size 1, so
+a position loop nested in a batched group loop reads each group's weight
+rows without copying them. A body that fails either check, as does one whose
+stores interleave across iterations without overlapping, is walked iteration
+by iteration through the same code, where an out-of-bounds access raises
+with the pc the unrolled program would report.
 """
 
 from __future__ import annotations
@@ -201,15 +202,10 @@ class _Machine:
         self.offsets = saved
 
     def _commutes(self, node: Repeat, body: _Body) -> bool:
-        """Whether the loop's memory accesses allow any iteration order:
-        all in bounds, no load touching a stored byte, no two stores
-        overlapping, over every iteration of the loop and of the loops
-        inside it. Address intervals settle the common case; every other
-        case lists each iteration's address."""
-        return self._spans_commute(node, body) or self._addresses_commute(node, body)
-
-    def _spans_commute(self, node: Repeat, body: _Body) -> bool:
-        """Whether address intervals alone show that the loop commutes.
+        """Whether address intervals show that the loop's memory accesses
+        allow any iteration order: all in bounds, no load touching a stored
+        byte, no two stores overlapping, over every iteration of the loop
+        and of the loops inside it; a loop they cannot clear is walked.
 
         A group of accesses spans [lo, hi) from its extreme addresses and
         its loops' extremes. A group of stores is a cluster whose addresses
@@ -240,35 +236,6 @@ class _Machine:
             anything = max(anything, hi)
             if store:
                 stored = max(stored, hi)
-        return True
-
-    def _addresses_commute(self, node: Repeat, body: _Body) -> bool:
-        """``_commutes`` over every iteration's address."""
-        loads, stores = [], []
-        for (store, region, loops), addrs in body.accesses.items():
-            starts = np.array(addrs) + self.offsets[region]
-            for count, stride in ((node.count, node.strides[region]),) + loops:
-                # a load the loop does not move needs checking only once
-                if stride or store:
-                    starts = (starts[:, None] + np.arange(count) * stride).ravel()
-            (stores if store else loads).append(starts)
-        if not loads and not stores:
-            return True
-        everything = np.concatenate(loads + stores)
-        lo, hi = everything.min(), everything.max()
-        if lo < 0 or hi + 8 > len(self.mem):
-            return False
-        if not stores:
-            return True
-        stores = np.sort(np.concatenate(stores))
-        if np.any(np.diff(stores) < 8):
-            return False
-        if loads:
-            loads = np.concatenate(loads)
-            fenced = np.concatenate(([lo - 8], stores, [hi + 8]))
-            after = np.searchsorted(fenced, loads)
-            if np.any(fenced[after] - loads < 8) or np.any(loads - fenced[after - 1] < 8):
-                return False
         return True
 
     # -- one instruction -----------------------------------------------------

@@ -335,12 +335,13 @@ def test_workload_non_string_network_is_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_trace_outside_directory_is_input_error(tmp_path, capsys):
-    wl = write_workload(tmp_path / "wl.json", [UNIT_LAYER, dict(UNIT_LAYER, name="../escaped")])
+@pytest.mark.parametrize("name", ["../escaped", "a\x00b"], ids=["escaped", "nul-byte"])
+def test_trace_outside_directory_is_input_error(tmp_path, capsys, name):
+    wl = write_workload(tmp_path / "wl.json", [UNIT_LAYER, dict(UNIT_LAYER, name=name)])
     tdir = tmp_path / "out" / "sub"
     assert cli.main(["simulate", wl, "-o", str(tmp_path / "r.csv"),
                      "--trace", str(tdir)]) == 2
-    assert "../escaped" in capsys.readouterr().err
+    assert f"layer {name!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -9,6 +9,7 @@ from dimcsim import oracle
 from dimcsim.cli import load_workload
 from dimcsim.geometry import PrecisionMode, QuantConfig
 from dimcsim.isa import DcF, DcP, DlI, DlM
+from dimcsim.machine import _Machine
 from dimcsim.mapper import (LayerDescriptor, MappingError,
                             NotDimcEligibleError, lower, ops_count, plan_mapping)
 from dimcsim.sim import (INSTRUCTION_KINDS, Program, Repeat, TimingModel, VLoad, VStore,
@@ -350,6 +351,19 @@ def test_extrapolated_cycles_equal_walked_cycles(layer, terminal, timing):
     assert extrapolated.total_cycles == walked.total_cycles
     assert extrapolated.cycles_by_class == walked.cycles_by_class
     assert extrapolated.counts_by_class == walked.counts_by_class
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(layer=small_layers(), terminal=st.sampled_from(("final", "partial")))
+def test_address_intervals_clear_every_lowered_loop(layer, terminal):
+    # the data half batches every loop the lowering emits: none is left to
+    # the iteration-by-iteration walk
+    low = lower(layer, terminal=terminal)
+    machine = _Machine(low.program, bytearray(low._layout.total_bytes))
+    for node in low.program.body:
+        if isinstance(node, Repeat):
+            body = machine.analyze(node.body)
+            assert body.independent and machine._commutes(node, body)
 
 
 @settings(max_examples=40, deadline=5000, derandomize=True)
