@@ -24,6 +24,12 @@ rows without copying them. A body that fails either check, as does one whose
 stores interleave across iterations without overlapping, is walked iteration
 by iteration through the same code, where an out-of-bounds access raises
 with the pc the unrolled program would report.
+
+A Repeat that advances weight rows is always walked, since its iterations
+write different rows and a batch keeps only the last iteration's; the walk
+adds the loop's row offset to each ``m_row``. In the body around it, such a
+loop reads and writes the rows of all its iterations, so a group loop whose
+prologue loads its kernels row by row still runs as one batch.
 """
 
 from __future__ import annotations
@@ -50,6 +56,16 @@ _BYTE_OFFSETS = np.arange(8)
 
 def _bytes(lo: int, n: int) -> int:
     return ((1 << n) - 1) << lo
+
+
+def _advanced(resources: int, node: Repeat) -> int:
+    """The resources of every iteration of a row loop whose first iteration
+    has ``resources``: iteration n moves the weight-row bits n * rows rows up."""
+    rows = resources >> _ROW_BIT
+    spread = 0
+    for n in range(node.count):
+        spread |= rows << (_ROW_SLICES * node.rows * n)
+    return resources & ((1 << _ROW_BIT) - 1) | spread << _ROW_BIT
 
 
 def _data_effects(ins) -> tuple:
@@ -109,6 +125,8 @@ class _Body:
                     loops = ((node.count, node.strides[region]),) + loops
                     self.accesses.setdefault((store, region, loops), []).extend(addrs)
                 reads, writes = inner.exposed, inner.written
+                if node.rows:
+                    reads, writes = _advanced(reads, node), _advanced(writes, node)
                 cls = inner.first
             elif cls is Barrier:
                 reads = writes = 0
@@ -140,8 +158,10 @@ class _Machine:
         self.mem = np.frombuffer(memory, dtype=np.uint8)
         self.regs = list(np.zeros((NUM_VREGS, 8), dtype=np.uint8))
         self.tile = DimcTile(program.mode)
-        # per-region address offset of the current iteration(s)
+        # per-region address offset of the current iteration(s), and the
+        # weight-row offset of the current iteration
         self.offsets = [0] * NUM_REGIONS
+        self.row = 0
         # number of batched loops the walk is inside
         self.depth = 0
         self.pc = 0
@@ -172,17 +192,20 @@ class _Machine:
 
     def _repeat(self, node: Repeat) -> None:
         body = self.analyze(node.body)
-        if body.independent and (self.depth or self._commutes(node, body)):
+        # the iterations of a row loop write different rows, and a batch
+        # would keep only the last one's
+        if not node.rows and body.independent and (self.depth or self._commutes(node, body)):
             # the batch walks one pass; the unrolled program walks count
             pc = self.pc
             self._run_batched(node)
             self.pc = pc + node.count * (self.pc - pc)
         else:
-            saved = self.offsets
+            saved, row = self.offsets, self.row
             for _ in range(node.count):
                 self.run_nodes(node.body)
                 self.offsets = list(map(add, self.offsets, node.strides))
-            self.offsets = saved
+                self.row += node.rows
+            self.offsets, self.row = saved, row
 
     def _run_batched(self, node: Repeat) -> None:
         """All iterations as one pass over a new innermost batch axis; the
@@ -258,9 +281,9 @@ class _Machine:
         elif cls is DlI:
             self.tile.load_input_sector(ins.sec, *self._gather(ins))
         elif cls is DlM:
-            self.tile.load_memory_row(ins.m_row, ins.sec, *self._gather(ins))
+            self.tile.load_memory_row(ins.m_row + self.row, ins.sec, *self._gather(ins))
         else:
-            p = self.tile.compute_row(ins.m_row, self._incoming(ins))
+            p = self.tile.compute_row(ins.m_row + self.row, self._incoming(ins))
             self._write(ins.vd, 4 * ins.dh, np.expand_dims(np.asarray(p, "<i4"), -1).view(np.uint8))
         self.pc += 1
 
@@ -296,7 +319,7 @@ class _Machine:
 
     def _dcf(self, ins) -> None:
         nibble = np.asarray(self.tile.compute_row_final(
-            ins.m_row, self._incoming(ins), self.quant), dtype=np.uint8)[..., None]
+            ins.m_row + self.row, self._incoming(ins), self.quant), dtype=np.uint8)[..., None]
         lo = 4 * ins.dh + ins.bidx
         byte = 8 * ins.vd + lo
         if self.open_byte == byte:

@@ -19,8 +19,9 @@ position. Patches are pre-gathered im2col style, one zero-padded record
 per output position mirroring the per-row weight layout element for
 element; this realizes the conservative no-reuse policy where each patch
 is fetched from memory in full. Records of one region sit at a fixed
-distance, so every address is affine in (group, position) and a layer
-lowers to one loop-compressed program.
+distance and kernel k of a group fills rows k*T .. k*T + T - 1, so every
+address is affine in (group, kernel, position), every weight row in the
+kernel, and a layer lowers to one loop-compressed program.
 
     weights  : och records of ceil(kernel_bits/64)*8 bytes each
     patches  : oh*ow records, same record size as weights
@@ -237,20 +238,20 @@ class _Emitter:
             out.append(make(REG_STAGE + 4 * sec, nvec, sec, mask))
 
     def group_prologue(self, g: int, size: int, out_record: int) -> list:
-        """Group g's kernel loads; it holds ``size`` kernels."""
+        """Group g's kernel loads, one loop over its ``size`` kernels: kernel
+        k loads its record to rows k * T .. k * T + T - 1."""
         plan, layout = self.plan, self.layout
         # a kernel (re)load starts only once the pipeline has drained
         out: list = [Barrier()]
         if self.terminal == "final":
             for j in range(out_record // 8):
                 out.append(VClear(REG_OUT + j))
-        for k in range(size):
-            record = (g * layout.per_group + k) * layout.record_bytes
-            for t in range(plan.tiling_factor):
-                row = k * plan.tiling_factor + t
-                bits = _chunk_bits(plan.kernel_bits, t)
-                self._chunk_loads(out, record + t * (ROW_BITS // 8), _WEIGHTS, bits,
-                                  functools.partial(DlM, m_row=row))
+        record = g * layout.per_group * layout.record_bytes
+        loads: list = []
+        for t in range(plan.tiling_factor):
+            self._chunk_loads(loads, record + t * (ROW_BITS // 8), _WEIGHTS,
+                              _chunk_bits(plan.kernel_bits, t), functools.partial(DlM, m_row=t))
+        out.append(Repeat(size, loads, (layout.record_bytes,), rows=plan.tiling_factor))
         return out
 
     def position_block(self, size: int, out_base: int, out_record: int) -> list:
@@ -393,10 +394,13 @@ def lower(layer: LayerDescriptor, plan: MappingPlan | None = None, *,
           terminal: str = "final", quant: QuantConfig | None = None) -> Lowering:
     """Lower a layer to its loop-compressed program and memory layout.
 
-    The program is a Repeat over the full kernel groups (a group prologue
-    plus a Repeat over output positions), then the partial group if any.
-    Addresses are affine in the loop indices, so ``sim.execute`` can cost it
-    from its steady state or walk every iteration, with identical cycles.
+    The program is a Repeat over the full kernel groups, then the partial
+    group if any. A group is its prologue, a Repeat over its kernels that
+    loads kernel 0's row chunks and advances the weight address by a record
+    and the rows by T, then a Repeat over output positions. Addresses and
+    rows are affine in (group, kernel, position), so ``sim.execute`` can
+    cost it from its steady state or walk every iteration, with identical
+    cycles.
 
     ``terminal`` picks how each kernel's chain ends: "final" emits dc.f
     (ReLU + requantization, packed nibbles), "partial" emits dc.p and

@@ -52,8 +52,17 @@ leaves the last high nibble zero.
 Loop compression
 ----------------
 A ``Repeat`` node stands for iterations of a fixed instruction block that
-differ only in memory addresses: each ``VLoad``/``VStore`` names an address
-region, which each ``Repeat`` advances by its own stride per iteration.
+differ only in memory addresses and weight rows: each ``VLoad``/``VStore``
+names an address region, which each ``Repeat`` advances by its own stride
+per iteration, and a ``Repeat`` with ``rows`` adds that many rows per
+iteration to the ``m_row`` of every dl.m, dc.p and dc.f in it. ``Program``
+rejects a row that leaves the tile in any iteration.
+
+Addresses never reach the timing half, but rows are scoreboard keys, so it
+first splices each row-advancing ``Repeat`` into its iterations, copying
+only the records that carry a row; every later pass of such a loop would
+write new keys, and it could never reach a steady state. The data half
+walks those loops, since a batch keeps only its last iteration's rows.
 
 The timing half compiles each body once per timing table, and schedules
 each straight-line run in it once, as if nothing left by code before the
@@ -88,7 +97,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import sub
+from operator import is_, sub
 
 from .geometry import ROWS, PrecisionMode, QuantConfig
 from .isa import DcF, DcP, DlI, DlM
@@ -172,15 +181,21 @@ class Barrier:
 @dataclass(frozen=True)
 class Repeat:
     """``count`` iterations of ``body``, each advancing the addresses of
-    region r by ``strides[r]`` (missing trailing strides are 0)."""
+    region r by ``strides[r]`` (missing trailing strides are 0) and the
+    weight row of every dl.m, dc.p and dc.f in it, at any depth, by
+    ``rows``: iteration n adds n * rows to their ``m_row``, and nested
+    advances add up."""
 
     count: int
     body: tuple
     strides: tuple = ()
+    rows: int = 0
 
     def __post_init__(self):
         if self.count < 0:
             raise ValueError(f"repeat count must be >= 0, got {self.count}")
+        if isinstance(self.rows, bool) or not isinstance(self.rows, int) or self.rows < 0:
+            raise ValueError(f"repeat rows must be an integer >= 0, got {self.rows!r}")
         if len(self.strides) > NUM_REGIONS:
             raise ValueError(f"at most {NUM_REGIONS} region strides, got {len(self.strides)}")
         object.__setattr__(self, "body", tuple(self.body))
@@ -204,7 +219,7 @@ class Program:
 
     def __post_init__(self):
         object.__setattr__(self, "body", tuple(self.body))
-        object.__setattr__(self, "counts", tuple(_check(self.body, 0)))
+        object.__setattr__(self, "counts", tuple(_check(self.body, 0, 0)[0]))
 
 
 def _check_cycles(name: str, value) -> None:
@@ -289,8 +304,9 @@ class SimOutcome:
         return {c: self.cycles_by_class[c] / total for c in CLASSES}
 
 
-def _fault(ins) -> str | None:
-    """Why ``ins`` cannot execute, or None when it can."""
+def _fault(ins, row: int) -> str | None:
+    """Why ``ins`` cannot execute with its weight row advanced by ``row``,
+    or None when it can."""
     cls = ins.__class__
     if cls is VLoad or cls is VStore or cls is VClear:
         reg = ins.vs1 if cls is VStore else ins.vd
@@ -298,32 +314,55 @@ def _fault(ins) -> str | None:
             return f"{ins.mnemonic} register {reg} out of range [0, {NUM_VREGS - 1}]"
         if cls is not VClear and not 0 <= ins.region < NUM_REGIONS:
             return f"{ins.mnemonic} address region {ins.region} out of range"
-    elif cls is DlI or cls is DlM:
+        return None
+    if cls is DlI or cls is DlM:
         if ins.vs1 + ins.nvec > NUM_VREGS:
             return f"{ins.mnemonic} reads past register 31 (vs1={ins.vs1}, nvec={ins.nvec})"
+        if cls is DlI:
+            return None
     elif cls is not DcP and cls is not DcF:
         return f"cannot execute {ins!r}"
+    if ins.m_row + row >= ROWS:
+        return f"{ins.mnemonic} weight row {ins.m_row + row} out of range [0, {ROWS - 1}]"
     return None
 
 
-def _check(nodes, pc: int) -> list:
+def _check(nodes, pc: int, row: int) -> tuple:
     """Raise on the first instruction in ``nodes`` that cannot execute, with
-    the pc the unrolled program reaches it at (the first node's is ``pc``);
-    returns the instructions per class one pass executes. Repeat(0) bodies
-    never execute."""
+    the pc the unrolled program reaches it at (the first node's is ``pc``)
+    when their weight rows are advanced by ``row``. Returns the instructions
+    per class one pass executes and the highest weight row any iteration
+    reaches, -1 if none. Repeat(0) bodies never execute.
+
+    Every fault but a weight row past the last is the same in each
+    iteration, so a loop's first pass finds it; a row loop whose last pass
+    reaches past the last row is checked again at the first pass that does.
+    """
     counts = [0] * len(CLASSES)
+    reach = -1
     for node in nodes:
         cls = node.__class__
         if cls is Repeat:
             if node.count:
-                inner = _check(node.body, pc + sum(counts))
+                at = pc + sum(counts)
+                inner, top = _check(node.body, at, row)
+                if top >= 0:
+                    last = top + (node.count - 1) * node.rows
+                    if last >= ROWS:
+                        # check again the first pass that reaches past the
+                        # last row, which raises at its offending pc
+                        n = -((top - ROWS) // node.rows)
+                        _check(node.body, at + n * sum(inner), row + n * node.rows)
+                    reach = max(reach, last)
                 counts = [n + node.count * m for n, m in zip(counts, inner)]
         elif cls is not Barrier:
-            fault = _fault(node)
+            fault = _fault(node, row)
             if fault:
                 raise SimulationError(fault, pc=pc + sum(counts))
+            if cls is DlM or cls is DcP or cls is DcF:
+                reach = max(reach, node.m_row + row)
             counts[_CLASS_INDEX[node.kind]] += 1
-    return counts
+    return counts, reach
 
 
 # -- timing half ---------------------------------------------------------------
@@ -338,21 +377,72 @@ _ROW_KEY = _INPUT_KEY + 1
 _UNIT_KEY = _ROW_KEY + ROWS
 _SCOREBOARD_KEYS = _UNIT_KEY + len(INSTRUCTION_KINDS)
 
+# shared key tuples: a register's two halves, per (vs1, nvec) a register
+# group's halves, one half, the input buffer, one weight row, and per
+# (half, row) what a compute reads
+_REGISTER_KEYS = tuple((2 * r, 2 * r + 1) for r in range(NUM_VREGS))
+_GROUP_KEYS = tuple(tuple(tuple(range(2 * vs1, 2 * (vs1 + nvec))) for nvec in range(5))
+                    for vs1 in range(NUM_VREGS))
+_HALF_KEYS = tuple((key,) for key in range(2 * NUM_VREGS))
+_INPUT_KEYS = (_INPUT_KEY,)
+_ROW_KEYS = tuple((_ROW_KEY + row,) for row in range(ROWS))
+_COMPUTE_KEYS = tuple(tuple((half, _INPUT_KEY, _ROW_KEY + row) for row in range(ROWS))
+                      for half in range(2 * NUM_VREGS))
+
 
 def _scoreboard(ins) -> tuple:
     """(kind, keys read, keys written) of a valid instruction."""
     cls = ins.__class__
     if cls is VLoad or cls is VClear:
-        vd = 2 * ins.vd
-        return ins.kind, (), (vd, vd + 1)
+        return ins.kind, (), _REGISTER_KEYS[ins.vd]
     if cls is VStore:
-        vs1 = 2 * ins.vs1
-        return "vstore", (vs1, vs1 + 1), ()
-    if cls is DlI or cls is DlM:
-        written = _INPUT_KEY if cls is DlI else _ROW_KEY + ins.m_row
-        return ins.kind, tuple(range(2 * ins.vs1, 2 * (ins.vs1 + ins.nvec))), (written,)
-    return (ins.kind, (2 * ins.vs1 + ins.sh, _INPUT_KEY, _ROW_KEY + ins.m_row),
-            (2 * ins.vd + ins.dh,))
+        return "vstore", _REGISTER_KEYS[ins.vs1], ()
+    if cls is DlI:
+        return "dl.i", _GROUP_KEYS[ins.vs1][ins.nvec], _INPUT_KEYS
+    if cls is DlM:
+        return "dl.m", _GROUP_KEYS[ins.vs1][ins.nvec], _ROW_KEYS[ins.m_row]
+    return ins.kind, _COMPUTE_KEYS[2 * ins.vs1 + ins.sh][ins.m_row], _HALF_KEYS[2 * ins.vd + ins.dh]
+
+
+def _shifted_repeat(node: Repeat, r: int) -> Repeat:
+    body = _spliced(node.body, r)
+    return node if body is node.body else Repeat(node.count, body, node.strides)
+
+
+# per class, its copy with every weight row in it advanced by r
+_SHIFTED = {
+    DlM: lambda ins, r: DlM(ins.vs1, ins.nvec, ins.sec, ins.mask, ins.m_row + r),
+    DcP: lambda ins, r: DcP(ins.vs1, ins.vd, ins.sh, ins.dh, ins.m_row + r),
+    DcF: lambda ins, r: DcF(ins.vs1, ins.vd, ins.sh, ins.dh, ins.m_row + r, ins.bidx),
+    Repeat: _shifted_repeat,
+}
+
+
+def _spliced(nodes, row: int = 0) -> tuple:
+    """``nodes`` with their weight rows advanced by ``row`` and every Repeat
+    that advances rows replaced by its iterations. Only what holds a row is
+    copied, and ``nodes`` itself is returned when nothing changes."""
+    out = []
+    for node in nodes:
+        cls = node.__class__
+        if cls is Repeat and node.rows:
+            # iteration n is the first with each record or loop that holds
+            # a row advanced by n * rows
+            body = _spliced(node.body, row)
+            shifts = [(i, _SHIFTED[ins.__class__]) for i, ins in enumerate(body)
+                      if ins.__class__ in _SHIFTED]
+            for n in range(node.count):
+                start = len(out)
+                out += body
+                for i, shift in shifts if n else ():
+                    out[start + i] = shift(body[i], n * node.rows)
+        elif cls is Repeat or row and cls in _SHIFTED:
+            out.append(_SHIFTED[cls](node, row))
+        else:
+            out.append(node)
+    if len(out) == len(nodes) and all(map(is_, out, nodes)):
+        return nodes
+    return tuple(out)
 
 
 class _Run:
@@ -423,7 +513,12 @@ class _Clock:
         self.t_max = 0
 
     def compile(self, nodes) -> tuple:
-        """(compiled body, keys one pass writes)."""
+        """(compiled body, keys one pass writes). Each Repeat that advances
+        weight rows is first spliced into its iterations, so a body compiles
+        to the runs, barriers and loops of its unrolled rows."""
+        return self._compile(_spliced(nodes))
+
+    def _compile(self, nodes) -> tuple:
         parts = []
         written = set()
         first = None
@@ -439,7 +534,7 @@ class _Clock:
             if cls is Barrier:
                 parts.append((_BARRIER, None, None))
             elif node.count:
-                body, inner = self.compile(node.body)
+                body, inner = self._compile(node.body)
                 parts.append((_LOOP, node.count, body))
                 written |= inner
         if first is not None:
@@ -532,8 +627,10 @@ class _Clock:
             kind, reads, writes = _scoreboard(ins)
             cls, unit, latency, interval = kinds[kind]
             t = t_last + 1
-            if interval > 1:
-                reads += (unit,)
+            # the unit is a read only when its interval can stall
+            throttled = interval > 1
+            if throttled and ready[unit] > t:
+                t = ready[unit]
             for key in reads:
                 if ready[key] > t:
                     t = ready[key]
@@ -541,7 +638,9 @@ class _Clock:
                 for key in reads:
                     if ready[key] == _NEVER:
                         waits.setdefault(key, t)
-            if interval > 1:
+                if throttled and ready[unit] == _NEVER:
+                    waits.setdefault(unit, t)
+            if throttled:
                 ready[unit] = t + interval
             cycles[pending] += t - t_last
             done = t + latency

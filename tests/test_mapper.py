@@ -30,17 +30,20 @@ def tensors(layer, seed=0):
     return x, w
 
 
-def instructions(nodes, offsets=(0, 0, 0)):
-    """The instruction stream with every Repeat unrolled and every vload and
-    vstore address rebased onto its iteration."""
+def instructions(nodes, offsets=(0, 0, 0), row=0):
+    """The instruction stream with every Repeat unrolled, every vload and
+    vstore address rebased onto its iteration and every weight row advanced
+    by its enclosing loops."""
     for node in nodes:
         if isinstance(node, Repeat):
             for n in range(node.count):
                 inner = [off + n * stride for off, stride in
                          zip(offsets, node.strides + (0,) * (3 - len(node.strides)))]
-                yield from instructions(node.body, inner)
+                yield from instructions(node.body, inner, row + n * node.rows)
         elif isinstance(node, (VLoad, VStore)):
             yield dataclasses.replace(node, addr=node.addr + offsets[node.region])
+        elif isinstance(node, (DlM, DcP, DcF)):
+            yield dataclasses.replace(node, m_row=node.m_row + row)
         else:
             yield node
 
@@ -308,7 +311,7 @@ def test_resnet50_programs_stay_compressed():
 
     for name, layer in load_workload("resnet50").entries:
         if layer.precision.dimc_supported:
-            assert records(lower(layer).program.body) <= 1122, name
+            assert records(lower(layer).program.body) <= 762, name
 
 
 def test_compressed_respects_timing_table():
@@ -356,8 +359,9 @@ def test_extrapolated_cycles_equal_walked_cycles(layer, terminal, timing):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(layer=small_layers(), terminal=st.sampled_from(("final", "partial")))
 def test_address_intervals_clear_every_lowered_loop(layer, terminal):
-    # the data half batches every loop the lowering emits: none is left to
-    # the iteration-by-iteration walk
+    # the static checks clear every loop the lowering emits: the data half
+    # batches each of them but a group prologue's loop over its kernels,
+    # which it walks because its iterations write different weight rows
     low = lower(layer, terminal=terminal)
     machine = _Machine(low.program, bytearray(low._layout.total_bytes))
     for node in low.program.body:

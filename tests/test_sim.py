@@ -223,6 +223,33 @@ def test_gather_past_register_file_reports_pc(body, pc):
     assert err.value.pc == pc
 
 
+@pytest.mark.parametrize("rows", [-1, True, 1.0])
+def test_repeat_rows_must_be_a_non_negative_integer(rows):
+    with pytest.raises(ValueError, match="rows"):
+        Repeat(2, (), rows=rows)
+
+
+@pytest.mark.parametrize("body, pc", [
+    # rows 20, 24 and 28 pass; iteration 3 reaches row 32 with its dl.m at
+    # pc 1 + 3 * 2 + 1
+    ((VClear(1), Repeat(5, (VClear(2), DlM(vs1=1, nvec=1, sec=0, mask=1, m_row=20)),
+                        rows=4)), 8),
+    # nested advances add up to row 20 + 3n + 2k, which reaches 32 at n = 2,
+    # k = 3, pc 2 * 5 + 1 + 3; the Repeat(0) never executes, so its rows
+    # never count
+    ((Repeat(0, (Repeat(5, (DcP(vs1=0, vd=1, sh=0, dh=0, m_row=31),), rows=5),)),
+      Repeat(3, (VClear(2), Repeat(4, (DcP(vs1=0, vd=1, sh=0, dh=0, m_row=20),), rows=2)),
+             rows=3)), 14),
+], ids=["flat", "nested"])
+def test_row_past_the_last_reports_the_pc_of_its_iteration(body, pc):
+    with pytest.raises(SimulationError, match="weight row 32 out of range") as err:
+        Program(body)
+    assert err.value.pc == pc
+    # rows 4, 13, 22 and 31 all exist
+    assert Program((Repeat(4, (DlM(vs1=1, nvec=1, sec=0, mask=1, m_row=4),),
+                           rows=9),)).counts == (0, 4, 0)
+
+
 def test_static_fault_is_raised_when_the_program_is_built():
     # the vload would be out of bounds first, but the bad register is
     # static and rejected before anything runs
@@ -342,29 +369,44 @@ def test_independent_repeat_runs_as_one_batch(monkeypatch):
     assert batched.memory[56:] != bytes(48)
 
 
-@pytest.mark.parametrize("body, strides", [
+@pytest.mark.parametrize("nodes", [
     # dc.p accumulates onto the partial the previous iteration left in v3
-    ((VLoad(2, 8, region=1), DlI(vs1=2, nvec=1, sec=0, mask=1),
-      DcP(vs1=3, vd=3, sh=0, dh=0, m_row=0), VStore(3, 56, region=2)), (0, 8, 8)),
+    (Repeat(6, (VLoad(2, 8, region=1), DlI(vs1=2, nvec=1, sec=0, mask=1),
+                DcP(vs1=3, vd=3, sh=0, dh=0, m_row=0), VStore(3, 56, region=2)), (0, 8, 8)),),
     # the vload from region 2 reads the word the previous iteration stored
-    ((VLoad(2, 48, region=2), DlI(vs1=2, nvec=1, sec=0, mask=1),
-      DcP(vs1=0, vd=3, sh=0, dh=0, m_row=0), VStore(3, 56, region=2)), (0, 0, 8)),
+    (Repeat(6, (VLoad(2, 48, region=2), DlI(vs1=2, nvec=1, sec=0, mask=1),
+                DcP(vs1=0, vd=3, sh=0, dh=0, m_row=0), VStore(3, 56, region=2)), (0, 0, 8)),),
     # the two vstores, 48 bytes apart under an 8-byte stride, interleave
     # across iterations without meeting: the address intervals cannot
     # clear the loop, so it is walked
-    ((VLoad(2, 8, region=1), DlI(vs1=2, nvec=1, sec=0, mask=1),
-      DcP(vs1=0, vd=3, sh=0, dh=0, m_row=0), VStore(3, 56, region=2),
-      VStore(2, 104, region=2)), (0, 8, 8)),
-], ids=["carried-partial", "load-after-store", "interleaved-stores"])
-def test_repeat_with_carried_state_matches_flat_expansion(monkeypatch, body, strides):
+    (Repeat(6, (VLoad(2, 8, region=1), DlI(vs1=2, nvec=1, sec=0, mask=1),
+                DcP(vs1=0, vd=3, sh=0, dh=0, m_row=0), VStore(3, 56, region=2),
+                VStore(2, 104, region=2)), (0, 8, 8)),),
+    # each iteration of a row loop loads patch n into weight row 1 + n, and
+    # each of a second one computes against row 1 + n: neither batches,
+    # since a batch would keep only its last iteration's row
+    (DlI(vs1=1, nvec=1, sec=0, mask=1),
+     Repeat(6, (VLoad(2, 8, region=1), DlM(vs1=2, nvec=1, sec=0, mask=1, m_row=1)),
+            (0, 8, 0), rows=1),
+     Repeat(6, (DcP(vs1=0, vd=3, sh=0, dh=0, m_row=1), VStore(3, 56, region=2)),
+            (0, 0, 8), rows=1)),
+    # each pass computes against row 2, which the row loop after it writes
+    # in its third iteration: a pass reads a row the previous pass wrote
+    (DlI(vs1=1, nvec=1, sec=0, mask=1),
+     Repeat(6, (DcP(vs1=0, vd=3, sh=0, dh=0, m_row=2), VStore(3, 56, region=2),
+                Repeat(3, (VLoad(2, 8, region=1), DlM(vs1=2, nvec=1, sec=0, mask=1, m_row=0)),
+                       (0, 8, 0), rows=1)), (0, 0, 8))),
+], ids=["carried-partial", "load-after-store", "interleaved-stores", "row-loops",
+        "row-carried-across-passes"])
+def test_repeat_with_carried_state_matches_flat_expansion(monkeypatch, nodes):
     # room for the interleaved stores, which reach byte 152
     memory = _patch_memory() + bytearray(48)
     calls = _counting_computes(monkeypatch)
-    walked = execute(prog(_PROLOGUE + (Repeat(6, body, strides),)), memory=bytearray(memory))
+    walked = execute(prog(_PROLOGUE + nodes), memory=bytearray(memory))
     assert len(calls) == 6  # one pass per iteration
-    flat = list(_PROLOGUE) + [i for n in range(6) for i in _rebased(body, n, strides)]
-    unrolled = execute(prog(flat), memory=bytearray(memory))
+    unrolled = execute(prog(_PROLOGUE + tuple(_unrolled(nodes))), memory=bytearray(memory))
     assert walked.memory == unrolled.memory and walked.vrf == unrolled.vrf
+    assert walked.memory[56:104] != bytes(48)
 
 
 def test_groups_of_a_single_position_layer_run_as_one_batch(monkeypatch):
@@ -489,11 +531,19 @@ _KIND_CLASS = {"vload": "loading", "dl.i": "loading", "dl.m": "loading", "vstore
                "varith": "computing", "dc.p": "computing", "dc.f": "computing"}
 
 
-def _unrolled(nodes):
+def _unrolled(nodes, offsets=(0, 0, 0), row=0):
+    """The instructions the unrolled program runs, each vload and vstore
+    address rebased and each weight row advanced by its enclosing loops."""
     for node in nodes:
         if isinstance(node, Repeat):
-            for _ in range(node.count):
-                yield from _unrolled(node.body)
+            strides = node.strides + (0,) * (3 - len(node.strides))
+            for n in range(node.count):
+                yield from _unrolled(node.body, [o + n * s for o, s in zip(offsets, strides)],
+                                     row + n * node.rows)
+        elif isinstance(node, (VLoad, VStore)):
+            yield dataclasses.replace(node, addr=node.addr + offsets[node.region])
+        elif isinstance(node, (DlM, DcP, DcF)):
+            yield dataclasses.replace(node, m_row=node.m_row + row)
         else:
             yield node
 
@@ -555,8 +605,11 @@ _straight = st.one_of(
     st.builds(DcF, vs1=_regs, vd=_regs, sh=_bits, dh=_bits, m_row=_rows,
               bidx=st.integers(0, 3)))
 _instructions = st.one_of(_straight, st.just(Barrier()))
+# weight rows 0-3, advanced by at most 2 over at most 9 iterations, stay
+# below row 32
 _loop = st.builds(Repeat, count=st.integers(0, 9),
-                  body=st.lists(_instructions, min_size=1, max_size=6))
+                  body=st.lists(_instructions, min_size=1, max_size=6),
+                  rows=st.integers(0, 2))
 _nodes = st.one_of(_instructions, _loop, st.builds(
     Repeat, count=st.integers(0, 6),
     body=st.lists(st.one_of(_instructions, _loop), min_size=1, max_size=6)))
@@ -598,7 +651,8 @@ def test_walk_leaves_the_state_of_the_unrolled_walk(body, timing):
 
 
 _tiny_loop = st.builds(Repeat, count=st.integers(0, 2),
-                       body=st.lists(_instructions, min_size=1, max_size=4))
+                       body=st.lists(_instructions, min_size=1, max_size=4),
+                       rows=st.integers(0, 2))
 _tiny_nodes = st.one_of(_instructions, _tiny_loop, st.builds(
     Repeat, count=st.integers(0, 2),
     body=st.lists(st.one_of(_instructions, _tiny_loop), min_size=1, max_size=4)))
@@ -607,8 +661,9 @@ _tiny_nodes = st.one_of(_instructions, _tiny_loop, st.builds(
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(body=st.lists(_tiny_nodes, max_size=6))
 def test_counts_are_those_of_the_unrolled_program(body):
-    # Repeat(0) and Repeat(1) at every depth: the counts the build pass
-    # takes are those of the instructions the unrolled program issues
+    # Repeat(0) and Repeat(1) at every depth, with and without a row
+    # advance: the counts the build pass takes are those of the
+    # instructions the unrolled program issues
     counts = dict.fromkeys(CLASSES, 0)
     for ins in _unrolled(body):
         if not isinstance(ins, Barrier):
