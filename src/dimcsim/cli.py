@@ -292,14 +292,22 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_asm(args) -> int:
-    words = isa.assemble(Path(args.input).read_text())
+    try:
+        text = Path(args.input).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise WorkloadError(f"{args.input}: not UTF-8 text ({exc})") from None
+    words = isa.assemble(text)
     Path(args.output).write_bytes(isa.pack_words(words))
     print(f"{len(words)} instruction(s) -> {args.output}")
     return 0
 
 
 def cmd_disasm(args) -> int:
-    text = isa.disassemble(isa.unpack_words(Path(args.input).read_bytes()))
+    try:
+        words = isa.unpack_words(Path(args.input).read_bytes())
+    except isa.DecodeError as exc:
+        raise WorkloadError(f"{args.input}: {exc}") from None
+    text = isa.disassemble(words)
     if args.output:
         Path(args.output).write_text(text)
         print(f"-> {args.output}")

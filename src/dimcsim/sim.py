@@ -58,11 +58,14 @@ per iteration, and a ``Repeat`` with ``rows`` adds that many rows per
 iteration to the ``m_row`` of every dl.m, dc.p and dc.f in it. ``Program``
 rejects a row that leaves the tile in any iteration.
 
-Addresses never reach the timing half, but rows are scoreboard keys, so it
-first splices each row-advancing ``Repeat`` into its iterations, copying
-only the records that carry a row; every later pass of such a loop would
-write new keys, and it could never reach a steady state. The data half
-walks those loops, since a batch keeps only its last iteration's rows.
+Addresses never reach the timing half, but rows are scoreboard keys: every
+later pass of a row-advancing ``Repeat`` writes new keys, so it could never
+reach a steady state. The timing half therefore compiles such a loop in
+line: each iteration's instructions, their rows advanced by its offset,
+join the straight-line run around it, and only a barrier or another loop
+in its body closes that run. ``Program``'s check and the data half read
+the loop with the same row offset. The data half walks those loops, since
+a batch keeps only its last iteration's rows.
 
 The timing half compiles each body once per timing table, and schedules
 each straight-line run in it once, as if nothing left by code before the
@@ -97,7 +100,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import is_, sub
+from operator import sub
 
 from .geometry import ROWS, PrecisionMode, QuantConfig
 from .isa import DcF, DcP, DlI, DlM
@@ -390,70 +393,31 @@ _COMPUTE_KEYS = tuple(tuple((half, _INPUT_KEY, _ROW_KEY + row) for row in range(
                       for half in range(2 * NUM_VREGS))
 
 
-def _scoreboard(ins) -> tuple:
-    """(kind, keys read, keys written) of a valid instruction."""
+def _scoreboard(ins, row: int) -> tuple:
+    """(kind, keys read, keys written, mnemonic) of a valid instruction with
+    its weight row advanced by ``row``."""
     cls = ins.__class__
     if cls is VLoad or cls is VClear:
-        return ins.kind, (), _REGISTER_KEYS[ins.vd]
+        return ins.kind, (), _REGISTER_KEYS[ins.vd], ins.mnemonic
     if cls is VStore:
-        return "vstore", _REGISTER_KEYS[ins.vs1], ()
+        return "vstore", _REGISTER_KEYS[ins.vs1], (), "vstore"
     if cls is DlI:
-        return "dl.i", _GROUP_KEYS[ins.vs1][ins.nvec], _INPUT_KEYS
+        return "dl.i", _GROUP_KEYS[ins.vs1][ins.nvec], _INPUT_KEYS, "dl.i"
     if cls is DlM:
-        return "dl.m", _GROUP_KEYS[ins.vs1][ins.nvec], _ROW_KEYS[ins.m_row]
-    return ins.kind, _COMPUTE_KEYS[2 * ins.vs1 + ins.sh][ins.m_row], _HALF_KEYS[2 * ins.vd + ins.dh]
-
-
-def _shifted_repeat(node: Repeat, r: int) -> Repeat:
-    body = _spliced(node.body, r)
-    return node if body is node.body else Repeat(node.count, body, node.strides)
-
-
-# per class, its copy with every weight row in it advanced by r
-_SHIFTED = {
-    DlM: lambda ins, r: DlM(ins.vs1, ins.nvec, ins.sec, ins.mask, ins.m_row + r),
-    DcP: lambda ins, r: DcP(ins.vs1, ins.vd, ins.sh, ins.dh, ins.m_row + r),
-    DcF: lambda ins, r: DcF(ins.vs1, ins.vd, ins.sh, ins.dh, ins.m_row + r, ins.bidx),
-    Repeat: _shifted_repeat,
-}
-
-
-def _spliced(nodes, row: int = 0) -> tuple:
-    """``nodes`` with their weight rows advanced by ``row`` and every Repeat
-    that advances rows replaced by its iterations. Only what holds a row is
-    copied, and ``nodes`` itself is returned when nothing changes."""
-    out = []
-    for node in nodes:
-        cls = node.__class__
-        if cls is Repeat and node.rows:
-            # iteration n is the first with each record or loop that holds
-            # a row advanced by n * rows
-            body = _spliced(node.body, row)
-            shifts = [(i, _SHIFTED[ins.__class__]) for i, ins in enumerate(body)
-                      if ins.__class__ in _SHIFTED]
-            for n in range(node.count):
-                start = len(out)
-                out += body
-                for i, shift in shifts if n else ():
-                    out[start + i] = shift(body[i], n * node.rows)
-        elif cls is Repeat or row and cls in _SHIFTED:
-            out.append(_SHIFTED[cls](node, row))
-        else:
-            out.append(node)
-    if len(out) == len(nodes) and all(map(is_, out, nodes)):
-        return nodes
-    return tuple(out)
+        return "dl.m", _GROUP_KEYS[ins.vs1][ins.nvec], _ROW_KEYS[ins.m_row + row], "dl.m"
+    return (ins.kind, _COMPUTE_KEYS[2 * ins.vs1 + ins.sh][ins.m_row + row],
+            _HALF_KEYS[2 * ins.vd + ins.dh], ins.kind)
 
 
 class _Run:
-    """A straight-line run scheduled once, by the same kernel that issues it
-    when its guard fails, from a scoreboard at _NEVER so that no entry
-    value delays its first issue. Every output is an offset from that
-    issue: ``gaps`` each class's cycles as (class, cycles), ``stores`` each
-    key's last write as (key, offset), ``peak`` the latest completion,
-    ``tail`` the last issue, ``rows`` (completion, class name, mnemonic)
-    per instruction when traced, else None; ``last`` is the class of the
-    last issue.
+    """A straight-line run scheduled once, by the same kernel that issues
+    its ``entries`` (each instruction's scoreboard entry) when its guard
+    fails, from a scoreboard at _NEVER so that no entry value delays its
+    first issue. Every output is an offset from that issue: ``gaps`` each
+    class's cycles as (class, cycles), ``stores`` each key's last write as
+    (key, offset), ``peak`` the latest completion, ``tail`` the last issue,
+    ``rows`` (completion, class name, mnemonic) per instruction when
+    traced, else None; ``last`` is the class of the last issue.
 
     The schedule holds exactly when the entry value of each key the run
     reads before writing is ready by the offset of its first reader.
@@ -467,7 +431,7 @@ class _Run:
     so a pass with another after it stores only ``live``.
     """
 
-    __slots__ = ("instructions", "gaps", "stores", "live", "peak", "tail", "rows", "last",
+    __slots__ = ("entries", "gaps", "stores", "live", "peak", "tail", "rows", "last",
                  "guards")
 
 
@@ -491,14 +455,15 @@ class _Clock:
 
     A compiled body is a tuple of parts: a _Run (the schedule of a
     straight-line run), (_BARRIER, None, None), and (_LOOP, count, body)
-    for a Repeat. ``ready`` holds, per scoreboard key, the cycle its value
+    for a Repeat without a row advance; a row loop's iterations join the
+    enclosing run. ``ready`` holds, per scoreboard key, the cycle its value
     is ready or its unit is free again. One kernel, ``_issue_each``, turns
-    instructions into issue times, class gaps, stores and completions: it
-    compiles each run on a scratch clock at _NEVER, and issues a run whose
-    guard fails. ``_issue`` advances the state over a run, or over every
-    pass of a walked loop whose body is one run; the extrapolating and the
-    walking run both go through it, and it is the only writer of the
-    trace.
+    scoreboard entries into issue times, class gaps, stores and
+    completions: it compiles each run on a scratch clock at _NEVER, and
+    issues a run whose guard fails. ``_issue`` advances the state over a
+    run, or over every pass of a walked loop whose body is one run; the
+    extrapolating and the walking run both go through it, and it is the
+    only writer of the trace.
     """
 
     def __init__(self, kinds: dict, trace, walk: bool = False, ready=0):
@@ -512,33 +477,15 @@ class _Clock:
         self.t_last = -1
         self.t_max = 0
 
-    def compile(self, nodes) -> tuple:
-        """(compiled body, keys one pass writes). Each Repeat that advances
-        weight rows is first spliced into its iterations, so a body compiles
-        to the runs, barriers and loops of its unrolled rows."""
-        return self._compile(_spliced(nodes))
-
-    def _compile(self, nodes) -> tuple:
+    def compile(self, nodes, row: int = 0) -> tuple:
+        """(compiled body, keys one pass writes) of ``nodes`` with their
+        weight rows advanced by ``row``."""
         parts = []
         written = set()
-        first = None
-        for i, node in enumerate(nodes):
-            cls = node.__class__
-            if cls is not Repeat and cls is not Barrier:
-                if first is None:
-                    first = i
-                continue
-            if first is not None:
-                parts.append(self._compile_run(nodes[first:i]))
-                first = None
-            if cls is Barrier:
-                parts.append((_BARRIER, None, None))
-            elif node.count:
-                body, inner = self._compile(node.body)
-                parts.append((_LOOP, node.count, body))
-                written |= inner
-        if first is not None:
-            parts.append(self._compile_run(nodes[first:]))
+        entries = []
+        self._parts(nodes, row, parts, entries, written)
+        if entries:
+            parts.append(self._compile_run(tuple(entries)))
         runs = [part for part in parts if part.__class__ is _Run]
         for run in runs:
             written.update(key for key, _ in run.stores)
@@ -549,15 +496,38 @@ class _Clock:
             run.live = tuple((key, c) for key, c in run.stores if key in warm)
         return tuple(parts), written
 
-    def _compile_run(self, instructions) -> _Run:
-        """Schedule one straight-line run to a _Run by issuing it through
-        ``_issue_each`` on a scratch clock whose keys are all at _NEVER, so
-        no entry value delays it and the first issue is at offset 0."""
+    def _parts(self, nodes, row: int, parts: list, entries: list, written: set) -> None:
+        """Append the scoreboard entries of ``nodes`` at ``row`` to the open
+        run ``entries``, which a barrier or a row-free Repeat first closes
+        into ``parts``; each iteration of a row loop joins it at its row."""
+        for node in nodes:
+            cls = node.__class__
+            if cls is not Repeat and cls is not Barrier:
+                entries.append(_scoreboard(node, row))
+            elif cls is Repeat and node.rows:
+                for n in range(node.count):
+                    self._parts(node.body, row + n * node.rows, parts, entries, written)
+            else:
+                if entries:
+                    parts.append(self._compile_run(tuple(entries)))
+                    entries.clear()
+                if cls is Barrier:
+                    parts.append((_BARRIER, None, None))
+                elif node.count:
+                    body, inner = self.compile(node.body, row)
+                    parts.append((_LOOP, node.count, body))
+                    written |= inner
+
+    def _compile_run(self, entries) -> _Run:
+        """Schedule the scoreboard entries of one straight-line run to a _Run
+        by issuing them through ``_issue_each`` on a scratch clock whose keys
+        are all at _NEVER, so no entry value delays it and the first issue
+        is at offset 0."""
         scratch = _Clock(self.kinds, None if self.trace is None else [], ready=_NEVER)
         waits = {}
-        scratch._issue_each(instructions, waits)
+        scratch._issue_each(entries, waits)
         run = _Run()
-        run.instructions = instructions
+        run.entries = entries
         run.gaps = tuple((c, n) for c, n in enumerate(scratch.cycles[:len(CLASSES)]) if n)
         run.stores = tuple((key, c) for key, c in enumerate(scratch.ready) if c != _NEVER)
         run.peak = scratch.t_max
@@ -600,7 +570,7 @@ class _Clock:
             keys, offsets = run.guards[warm]
             if keys and max(map(sub, map(ready.__getitem__, keys), offsets)) > t:
                 self.t_last, self.t_max, self.pending = t_last, t_max, pending
-                self._issue_each(run.instructions)
+                self._issue_each(run.entries)
                 t_last, t_max, pending = self.t_last, self.t_max, self.pending
             else:
                 cycles[pending] += 1
@@ -617,14 +587,13 @@ class _Clock:
             warm = True
         self.t_last, self.t_max, self.pending = t_last, t_max, pending
 
-    def _issue_each(self, instructions, waits: dict | None = None) -> None:
-        """Issue instructions one by one under the timing contract. With
-        ``waits``, also record for each key read while still at _NEVER the
-        issue time of its first reader."""
+    def _issue_each(self, entries, waits: dict | None = None) -> None:
+        """Issue instructions one by one, from their scoreboard entries,
+        under the timing contract. With ``waits``, also record for each key
+        read while still at _NEVER the issue time of its first reader."""
         ready, cycles, kinds, trace = self.ready, self.cycles, self.kinds, self.trace
         t_last, t_max, pending = self.t_last, self.t_max, self.pending
-        for ins in instructions:
-            kind, reads, writes = _scoreboard(ins)
+        for kind, reads, writes, mnemonic in entries:
             cls, unit, latency, interval = kinds[kind]
             t = t_last + 1
             # the unit is a read only when its interval can stall
@@ -649,7 +618,7 @@ class _Clock:
             if done > t_max:
                 t_max = done
             if trace is not None:
-                trace.append((done, CLASSES[cls], ins.mnemonic))
+                trace.append((done, CLASSES[cls], mnemonic))
             t_last, pending = t, cls
         self.t_last, self.t_max, self.pending = t_last, t_max, pending
 

@@ -437,6 +437,17 @@ def test_disasm_names_the_bad_word(tmp_path, capsys):
     assert "error: word 1 (byte offset 4): opcode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, data, expected", [
+    ("asm", b"\xff", "not UTF-8 text ('utf-8' codec can't decode byte 0xff"),
+    ("disasm", b"abc", "stream length 3 is not a multiple of 4"),
+], ids=["asm-not-utf8", "disasm-length"])
+def test_unreadable_stream_error_names_the_file(tmp_path, capsys, command, data, expected):
+    src = tmp_path / "in"
+    src.write_bytes(data)
+    assert cli.main([command, str(src), "-o", str(tmp_path / "out")]) == 2
+    assert f"error: {src}: {expected}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["--size", "0"], "sweep point 32 at --size 0: h must be >= 1"),
     (["--points", "32,3000"], "sweep point 3000 at --size 16: kernel needs 47 rows"),

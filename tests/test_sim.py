@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dimcsim import oracle
@@ -10,10 +10,11 @@ from dimcsim.cli import load_workload
 from dimcsim.geometry import PrecisionMode, QuantConfig
 from dimcsim.isa import DcF, DcP, DlI, DlM
 from dimcsim.machine import _Machine
-from dimcsim.mapper import LayerDescriptor, lower
+from dimcsim.mapper import LayerDescriptor, lower, plan_mapping
 from dimcsim.sim import (CLASSES, INSTRUCTION_KINDS, NUM_VREGS, Barrier, Program, Repeat,
                          SimulationError, TimingModel, VClear, VLoad, VStore, _Clock,
-                         _NEVER, _kinds, execute, run_layer)
+                         _BARRIER, _LOOP, _NEVER, _ROW_KEY, _UNIT_KEY, _Run, _kinds,
+                         _scoreboard, execute, run_layer)
 from dimcsim.tile import DimcTile
 
 
@@ -605,14 +606,15 @@ _straight = st.one_of(
     st.builds(DcF, vs1=_regs, vd=_regs, sh=_bits, dh=_bits, m_row=_rows,
               bidx=st.integers(0, 3)))
 _instructions = st.one_of(_straight, st.just(Barrier()))
-# weight rows 0-3, advanced by at most 2 over at most 9 iterations, stay
-# below row 32
+# weight rows 0-3, advanced by at most 2 over at most 9 inner and 6 outer
+# iterations, stay below row 32 (3 + 2 * 8 + 2 * 5 = 29)
 _loop = st.builds(Repeat, count=st.integers(0, 9),
                   body=st.lists(_instructions, min_size=1, max_size=6),
                   rows=st.integers(0, 2))
 _nodes = st.one_of(_instructions, _loop, st.builds(
     Repeat, count=st.integers(0, 6),
-    body=st.lists(st.one_of(_instructions, _loop), min_size=1, max_size=6)))
+    body=st.lists(st.one_of(_instructions, _loop), min_size=1, max_size=6),
+    rows=st.integers(0, 2)))
 _tables = st.builds(
     TimingModel, memory_latency=st.integers(1, 16),
     latency=st.dictionaries(st.sampled_from(INSTRUCTION_KINDS), st.integers(1, 16)),
@@ -637,6 +639,9 @@ def test_schedule_matches_reference_scheduler(body, timing):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(body=st.lists(_nodes, max_size=8), timing=_tables)
+# a loop inside a row loop writes the rows of the iteration it is in
+@example(body=[Repeat(2, (Repeat(1, (DlM(vs1=0, nvec=1, sec=0, mask=0, m_row=0),)),), rows=1)],
+         timing=TimingModel())
 def test_walk_leaves_the_state_of_the_unrolled_walk(body, timing):
     # every pass of a single-run loop but the last stores only the keys a
     # later pass reads before writing them; whether each pass applies its
@@ -655,7 +660,8 @@ _tiny_loop = st.builds(Repeat, count=st.integers(0, 2),
                        rows=st.integers(0, 2))
 _tiny_nodes = st.one_of(_instructions, _tiny_loop, st.builds(
     Repeat, count=st.integers(0, 2),
-    body=st.lists(st.one_of(_instructions, _tiny_loop), min_size=1, max_size=4)))
+    body=st.lists(st.one_of(_instructions, _tiny_loop), min_size=1, max_size=4),
+    rows=st.integers(0, 2)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -669,6 +675,32 @@ def test_counts_are_those_of_the_unrolled_program(body):
         if not isinstance(ins, Barrier):
             counts[_KIND_CLASS[ins.kind]] += 1
     assert execute(prog(body)).counts_by_class == counts
+
+
+def test_group_prologue_stays_one_run():
+    # a group's kernel loop compiles in line with the vclears before it:
+    # one run writing every weight row of the group, not one run per kernel
+    kinds = _kinds(TimingModel())
+    for name, layer in load_workload("resnet50").entries:
+        for terminal in ("final", "partial"):
+            lowering = lower(layer, terminal=terminal)
+            layout, tiles = lowering._layout, plan_mapping(layer).tiling_factor
+            top, _ = _Clock(kinds, None).compile(lowering.program.body)
+            groups = []
+            if layout.full:
+                (kind, count, body), *top = top
+                assert (kind, count) == (_LOOP, layout.full)
+                groups.append((body, layout.per_group))
+            if layout.rest:
+                groups.append((tuple(top), layout.rest))
+            else:
+                assert not top, name
+            for body, size in groups:
+                barrier, run, loop = body
+                assert barrier == (_BARRIER, None, None) and loop[0] == _LOOP, name
+                assert run.__class__ is _Run, name
+                rows = sorted(key for key, _ in run.stores if _ROW_KEY <= key < _UNIT_KEY)
+                assert rows == list(range(_ROW_KEY, _ROW_KEY + size * tiles)), name
 
 
 @pytest.mark.parametrize("interval", [7, 40])
@@ -722,7 +754,7 @@ def test_cold_guard_offsets_are_exact(run, timing):
     def issued(key, ready):
         clock = _Clock(kinds, [], ready=_NEVER)
         clock.ready[key] = ready
-        clock._issue_each(run)
+        clock._issue_each([_scoreboard(ins, 0) for ins in run])
         return clock
 
     for key, offset in zip(*compiled.guards[0]):
