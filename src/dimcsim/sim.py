@@ -60,16 +60,17 @@ rejects a row that leaves the tile in any iteration.
 
 Addresses never reach the timing half, but rows are scoreboard keys: every
 later pass of a row-advancing ``Repeat`` writes new keys, so it could never
-reach a steady state. The timing half therefore compiles such a loop in
-line: each iteration's instructions, their rows advanced by its offset,
-join the straight-line run around it, and only a barrier or another loop
-in its body closes that run. ``Program``'s check and the data half read
-the loop with the same row offset. The data half walks those loops, since
-a batch keeps only its last iteration's rows.
+reach a steady state. ``Program``'s one walk over its nodes therefore lays
+such a loop out in line: each iteration's instructions, their rows
+advanced by its offset, join the straight-line run around it, and only a
+barrier or another loop in its body closes that run. The data half reads
+the loop with the same row offset and walks it, since a batch keeps only
+its last iteration's rows.
 
-The timing half compiles each body once per timing table, and schedules
-each straight-line run in it once, as if nothing left by code before the
-run delayed it: every issue, completion and class gap becomes an offset
+The same walk lays out every straight-line run of the program as its
+instructions' scoreboard entries, once per program. The timing half
+schedules each run once per timing table, as if nothing left by code before
+the run delayed it: every issue, completion and class gap becomes an offset
 from the run's first issue. One per-instruction kernel writes the timing
 contract. It compiles a run by issuing it from a scoreboard at -infinity,
 recording the offset at which the run first reads each key it has not
@@ -90,10 +91,11 @@ influence timing, so both give equal cycles, and ``--verify`` checks that
 they do.
 
 Every fault but an out-of-bounds access, which the data half reports with
-the pc the unrolled program reaches it at, is static: ``Program`` rejects
-it when it is built, in the same pass that counts its instructions per
-class. ``execute`` reports those counts, so neither half counts
-instructions.
+the pc the unrolled program reaches it at, is static: ``Program``'s walk
+rejects it where it lays the instruction out, at that pc, and counts the
+instructions per class on the way. A row loop's iterations are laid out
+one by one, so each is checked at its own row. ``execute`` reports those
+counts, so neither half counts instructions.
 """
 
 from __future__ import annotations
@@ -195,39 +197,48 @@ class Repeat:
     rows: int = 0
 
     def __post_init__(self):
-        if self.count < 0:
-            raise ValueError(f"repeat count must be >= 0, got {self.count}")
-        if isinstance(self.rows, bool) or not isinstance(self.rows, int) or self.rows < 0:
-            raise ValueError(f"repeat rows must be an integer >= 0, got {self.rows!r}")
-        if len(self.strides) > NUM_REGIONS:
-            raise ValueError(f"at most {NUM_REGIONS} region strides, got {len(self.strides)}")
+        _check_int("repeat count", self.count, 0)
+        _check_int("repeat rows", self.rows, 0)
+        strides = tuple(self.strides)
+        if len(strides) > NUM_REGIONS:
+            raise ValueError(f"at most {NUM_REGIONS} region strides, got {len(strides)}")
+        if any(isinstance(s, bool) or not isinstance(s, int) for s in strides):
+            raise ValueError(f"repeat strides must be integers, got {strides!r}")
         object.__setattr__(self, "body", tuple(self.body))
-        object.__setattr__(self, "strides",
-                           tuple(self.strides) + (0,) * (NUM_REGIONS - len(self.strides)))
+        object.__setattr__(self, "strides", strides + (0,) * (NUM_REGIONS - len(strides)))
 
 
 @dataclass(frozen=True)
 class Program:
     """An instruction stream plus the tile configuration it assumes.
 
-    Construction rejects any instruction that cannot execute, with
-    SimulationError and the pc the unrolled program reaches it at, and
-    counts the unrolled program's instructions per class in ``counts``.
+    Construction walks the nodes once (``_lay_out``). The walk rejects any
+    instruction that cannot execute, with SimulationError and the pc the
+    unrolled program reaches it at, and counts the unrolled program's
+    instructions per class in ``counts``. It also lays out ``parts``, which
+    the timing half schedules once per timing table: a run (a list of
+    scoreboard entries) for each straight-line stretch, a row loop's
+    iterations included, None for a barrier, and (count, parts of its body)
+    for a loop without a row advance.
     """
 
     body: tuple
     mode: PrecisionMode = PrecisionMode()
     quant: QuantConfig = QuantConfig()
     counts: tuple = field(init=False, repr=False, compare=False)
+    parts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "body", tuple(self.body))
-        object.__setattr__(self, "counts", tuple(_check(self.body, 0, 0)[0]))
+        counts, parts = [0] * len(CLASSES), []
+        _lay_out(self.body, 0, 0, counts, parts)
+        object.__setattr__(self, "counts", tuple(counts))
+        object.__setattr__(self, "parts", tuple(parts))
 
 
-def _check_cycles(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _check_int(name: str, value, least) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass
@@ -245,7 +256,7 @@ class TimingModel:
     issue_interval: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_cycles("memory_latency", self.memory_latency)
+        _check_int("memory_latency", self.memory_latency, 1)
         lat = {
             "vload": self.memory_latency,
             "vstore": self.memory_latency,
@@ -263,7 +274,7 @@ class TimingModel:
                                  f"{list(INSTRUCTION_KINDS)} to cycles, got {overrides!r}")
             table.update(overrides)
             for kind in INSTRUCTION_KINDS:
-                _check_cycles(f"{name} for {kind}", table[kind])
+                _check_int(f"{name} for {kind}", table[kind], 1)
         freq = self.freq_hz
         if isinstance(freq, bool) or not isinstance(freq, (int, float)) or not 0 < freq < math.inf:
             raise ValueError(f"freq_hz must be a positive finite number, got {freq!r}")
@@ -307,67 +318,6 @@ class SimOutcome:
         return {c: self.cycles_by_class[c] / total for c in CLASSES}
 
 
-def _fault(ins, row: int) -> str | None:
-    """Why ``ins`` cannot execute with its weight row advanced by ``row``,
-    or None when it can."""
-    cls = ins.__class__
-    if cls is VLoad or cls is VStore or cls is VClear:
-        reg = ins.vs1 if cls is VStore else ins.vd
-        if not 0 <= reg < NUM_VREGS:
-            return f"{ins.mnemonic} register {reg} out of range [0, {NUM_VREGS - 1}]"
-        if cls is not VClear and not 0 <= ins.region < NUM_REGIONS:
-            return f"{ins.mnemonic} address region {ins.region} out of range"
-        return None
-    if cls is DlI or cls is DlM:
-        if ins.vs1 + ins.nvec > NUM_VREGS:
-            return f"{ins.mnemonic} reads past register 31 (vs1={ins.vs1}, nvec={ins.nvec})"
-        if cls is DlI:
-            return None
-    elif cls is not DcP and cls is not DcF:
-        return f"cannot execute {ins!r}"
-    if ins.m_row + row >= ROWS:
-        return f"{ins.mnemonic} weight row {ins.m_row + row} out of range [0, {ROWS - 1}]"
-    return None
-
-
-def _check(nodes, pc: int, row: int) -> tuple:
-    """Raise on the first instruction in ``nodes`` that cannot execute, with
-    the pc the unrolled program reaches it at (the first node's is ``pc``)
-    when their weight rows are advanced by ``row``. Returns the instructions
-    per class one pass executes and the highest weight row any iteration
-    reaches, -1 if none. Repeat(0) bodies never execute.
-
-    Every fault but a weight row past the last is the same in each
-    iteration, so a loop's first pass finds it; a row loop whose last pass
-    reaches past the last row is checked again at the first pass that does.
-    """
-    counts = [0] * len(CLASSES)
-    reach = -1
-    for node in nodes:
-        cls = node.__class__
-        if cls is Repeat:
-            if node.count:
-                at = pc + sum(counts)
-                inner, top = _check(node.body, at, row)
-                if top >= 0:
-                    last = top + (node.count - 1) * node.rows
-                    if last >= ROWS:
-                        # check again the first pass that reaches past the
-                        # last row, which raises at its offending pc
-                        n = -((top - ROWS) // node.rows)
-                        _check(node.body, at + n * sum(inner), row + n * node.rows)
-                    reach = max(reach, last)
-                counts = [n + node.count * m for n, m in zip(counts, inner)]
-        elif cls is not Barrier:
-            fault = _fault(node, row)
-            if fault:
-                raise SimulationError(fault, pc=pc + sum(counts))
-            if cls is DlM or cls is DcP or cls is DcF:
-                reach = max(reach, node.m_row + row)
-            counts[_CLASS_INDEX[node.kind]] += 1
-    return counts, reach
-
-
 # -- timing half ---------------------------------------------------------------
 
 # Scoreboard keys, small ints indexing one list: half h of register r is key
@@ -391,22 +341,78 @@ _INPUT_KEYS = (_INPUT_KEY,)
 _ROW_KEYS = tuple((_ROW_KEY + row,) for row in range(ROWS))
 _COMPUTE_KEYS = tuple(tuple((half, _INPUT_KEY, _ROW_KEY + row) for row in range(ROWS))
                       for half in range(2 * NUM_VREGS))
+# per register, the whole scoreboard entry of a vload, a vstore and a vclear
+_LOAD_ENTRIES = tuple(("vload", (), keys, "vload") for keys in _REGISTER_KEYS)
+_STORE_ENTRIES = tuple(("vstore", keys, (), "vstore") for keys in _REGISTER_KEYS)
+_CLEAR_ENTRIES = tuple(("varith", (), keys, "vclear") for keys in _REGISTER_KEYS)
 
 
-def _scoreboard(ins, row: int) -> tuple:
-    """(kind, keys read, keys written, mnemonic) of a valid instruction with
-    its weight row advanced by ``row``."""
+def _scoreboard(ins, row: int):
+    """(kind, keys read, keys written, mnemonic) of ``ins`` with its weight
+    row advanced by ``row``, or why it cannot execute."""
     cls = ins.__class__
-    if cls is VLoad or cls is VClear:
-        return ins.kind, (), _REGISTER_KEYS[ins.vd], ins.mnemonic
-    if cls is VStore:
-        return "vstore", _REGISTER_KEYS[ins.vs1], (), "vstore"
-    if cls is DlI:
-        return "dl.i", _GROUP_KEYS[ins.vs1][ins.nvec], _INPUT_KEYS, "dl.i"
+    if cls is VLoad or cls is VStore or cls is VClear:
+        reg = ins.vs1 if cls is VStore else ins.vd
+        if reg.__class__ is not int or not 0 <= reg < NUM_VREGS:
+            return f"{ins.mnemonic} register {reg!r} out of range [0, {NUM_VREGS - 1}]"
+        if cls is VClear:
+            return _CLEAR_ENTRIES[reg]
+        if ins.region.__class__ is not int or not 0 <= ins.region < NUM_REGIONS:
+            return f"{ins.mnemonic} address region {ins.region!r} out of range"
+        if ins.addr.__class__ is not int:
+            return f"{ins.mnemonic} address {ins.addr!r} is not an integer"
+        return (_LOAD_ENTRIES if cls is VLoad else _STORE_ENTRIES)[reg]
+    if cls is DlI or cls is DlM:
+        if ins.vs1 + ins.nvec > NUM_VREGS:
+            return f"{ins.mnemonic} reads past register 31 (vs1={ins.vs1}, nvec={ins.nvec})"
+        if cls is DlI:
+            return "dl.i", _GROUP_KEYS[ins.vs1][ins.nvec], _INPUT_KEYS, "dl.i"
+    elif cls is not DcP and cls is not DcF:
+        return f"cannot execute {ins!r}"
+    row += ins.m_row
+    if row >= ROWS:
+        return f"{ins.mnemonic} weight row {row} out of range [0, {ROWS - 1}]"
     if cls is DlM:
-        return "dl.m", _GROUP_KEYS[ins.vs1][ins.nvec], _ROW_KEYS[ins.m_row + row], "dl.m"
-    return (ins.kind, _COMPUTE_KEYS[2 * ins.vs1 + ins.sh][ins.m_row + row],
+        return "dl.m", _GROUP_KEYS[ins.vs1][ins.nvec], _ROW_KEYS[row], "dl.m"
+    return (ins.kind, _COMPUTE_KEYS[2 * ins.vs1 + ins.sh][row],
             _HALF_KEYS[2 * ins.vd + ins.dh], ins.kind)
+
+
+def _lay_out(nodes, pc: int, row: int, counts: list, parts: list) -> None:
+    """Lay out ``nodes``, their weight rows advanced by ``row``, at the end
+    of ``parts``, and count their instructions per class into ``counts``.
+    Each scoreboard entry joins the open run, the list that ends ``parts``;
+    a barrier (None) closes it, as does a loop without a row advance, laid
+    out once as (count, parts). A row loop's iterations join the open run at
+    their own rows, and a Repeat(0) body never runs. The first instruction
+    that cannot execute raises at its unrolled pc: ``pc`` plus the
+    instructions ``counts`` holds by then."""
+    run = parts[-1] if parts and parts[-1].__class__ is list else None
+    for node in nodes:
+        cls = node.__class__
+        if cls is Repeat:
+            if node.rows:
+                for n in range(node.count):
+                    _lay_out(node.body, pc, row + n * node.rows, counts, parts)
+                run = parts[-1] if parts and parts[-1].__class__ is list else None
+            elif node.count:
+                inner, body = [0] * len(CLASSES), []
+                _lay_out(node.body, pc + sum(counts), row, inner, body)
+                parts.append((node.count, tuple(body)))
+                run = None
+                counts[:] = [c + node.count * n for c, n in zip(counts, inner)]
+        elif cls is Barrier:
+            parts.append(None)
+            run = None
+        else:
+            entry = _scoreboard(node, row)
+            if entry.__class__ is str:
+                raise SimulationError(entry, pc=pc + sum(counts))
+            if run is None:
+                run = []
+                parts.append(run)
+            run.append(entry)
+            counts[_CLASS_INDEX[entry[0]]] += 1
 
 
 class _Run:
@@ -442,28 +448,24 @@ def _kinds(timing: TimingModel) -> dict:
             for kind in INSTRUCTION_KINDS}
 
 
-# parts of a compiled body besides runs: a barrier, a loop
-_BARRIER, _LOOP = range(2)
-
 # the ready time, on a scratch scoreboard, of a key nothing has written yet
 _NEVER = -math.inf
 
 
 class _Clock:
-    """The timing half: a scoreboard advanced over bodies compiled once per
-    timing table.
+    """The timing half: a scoreboard advanced over a program's laid-out
+    parts (``Program.parts``), compiled once per timing table.
 
-    A compiled body is a tuple of parts: a _Run (the schedule of a
-    straight-line run), (_BARRIER, None, None), and (_LOOP, count, body)
-    for a Repeat without a row advance; a row loop's iterations join the
-    enclosing run. ``ready`` holds, per scoreboard key, the cycle its value
-    is ready or its unit is free again. One kernel, ``_issue_each``, turns
-    scoreboard entries into issue times, class gaps, stores and
-    completions: it compiles each run on a scratch clock at _NEVER, and
-    issues a run whose guard fails. ``_issue`` advances the state over a
-    run, or over every pass of a walked loop whose body is one run; the
-    extrapolating and the walking run both go through it, and it is the
-    only writer of the trace.
+    A compiled body has the shape of the parts it comes from: a _Run (the
+    schedule of a straight-line run) for each run, None for a barrier, and
+    (count, compiled body) for a loop. ``ready`` holds, per scoreboard key,
+    the cycle its value is ready or its unit is free again. One kernel,
+    ``_issue_each``, turns scoreboard entries into issue times, class gaps,
+    stores and completions: it compiles each run on a scratch clock at
+    _NEVER, and issues a run whose guard fails. ``_issue`` advances the
+    state over a run, or over every pass of a walked loop whose body is one
+    run; the extrapolating and the walking run both go through it, and it
+    is the only writer of the trace.
     """
 
     def __init__(self, kinds: dict, trace, walk: bool = False, ready=0):
@@ -477,46 +479,29 @@ class _Clock:
         self.t_last = -1
         self.t_max = 0
 
-    def compile(self, nodes, row: int = 0) -> tuple:
-        """(compiled body, keys one pass writes) of ``nodes`` with their
-        weight rows advanced by ``row``."""
-        parts = []
+    def compile(self, parts) -> tuple:
+        """(compiled body, keys one pass writes) of laid-out ``parts``, the
+        program's or a loop body's in it. Each run is scheduled once and
+        given the cold and warm guards and ``live`` of that body; a barrier
+        or a loop keeps its shape."""
+        body = []
         written = set()
-        entries = []
-        self._parts(nodes, row, parts, entries, written)
-        if entries:
-            parts.append(self._compile_run(tuple(entries)))
-        runs = [part for part in parts if part.__class__ is _Run]
-        for run in runs:
-            written.update(key for key, _ in run.stores)
-        for run in runs:
-            waits = run.guards
-            warm = {key: at for key, at in waits.items() if key in written}
-            run.guards = tuple((tuple(w), tuple(w.values())) for w in (waits, warm))
-            run.live = tuple((key, c) for key, c in run.stores if key in warm)
-        return tuple(parts), written
-
-    def _parts(self, nodes, row: int, parts: list, entries: list, written: set) -> None:
-        """Append the scoreboard entries of ``nodes`` at ``row`` to the open
-        run ``entries``, which a barrier or a row-free Repeat first closes
-        into ``parts``; each iteration of a row loop joins it at its row."""
-        for node in nodes:
-            cls = node.__class__
-            if cls is not Repeat and cls is not Barrier:
-                entries.append(_scoreboard(node, row))
-            elif cls is Repeat and node.rows:
-                for n in range(node.count):
-                    self._parts(node.body, row + n * node.rows, parts, entries, written)
-            else:
-                if entries:
-                    parts.append(self._compile_run(tuple(entries)))
-                    entries.clear()
-                if cls is Barrier:
-                    parts.append((_BARRIER, None, None))
-                elif node.count:
-                    body, inner = self.compile(node.body, row)
-                    parts.append((_LOOP, node.count, body))
-                    written |= inner
+        for part in parts:
+            if part.__class__ is list:
+                part = self._compile_run(part)
+                written.update(key for key, _ in part.stores)
+            elif part is not None:
+                inner, keys = self.compile(part[1])
+                part = part[0], inner
+                written |= keys
+            body.append(part)
+        for run in body:
+            if run.__class__ is _Run:
+                waits = run.guards
+                warm = {key: at for key, at in waits.items() if key in written}
+                run.guards = tuple((tuple(w), tuple(w.values())) for w in (waits, warm))
+                run.live = tuple((key, c) for key, c in run.stores if key in warm)
+        return tuple(body), written
 
     def _compile_run(self, entries) -> _Run:
         """Schedule the scoreboard entries of one straight-line run to a _Run
@@ -544,7 +529,7 @@ class _Clock:
         for part in body:
             if part.__class__ is _Run:
                 self._issue(part, warm)
-            elif part[0] == _BARRIER:
+            elif part is None:
                 # close the drain gap on the preceding instruction's class
                 # and move the issue horizon past every outstanding result
                 drained = self.t_max - 1
@@ -552,7 +537,7 @@ class _Clock:
                     self.cycles[self.pending] += drained - self.t_last
                     self.t_last = drained
             else:
-                self.run_loop(part[1], part[2])
+                self.run_loop(*part)
 
     def _issue(self, run: _Run, warm: bool, passes: int = 1) -> None:
         """Issue ``passes`` back-to-back passes of a straight-line run, the
@@ -679,7 +664,7 @@ def execute(program: Program, timing: TimingModel | None = None,
         machine.run_nodes(program.body)
         vrf = machine.vrf
     clock = _Clock(_kinds(timing), trace, walk=memory is not None or trace is not None)
-    clock.run(clock.compile(program.body)[0])
+    clock.run(clock.compile(program.parts)[0])
     clock.finish()
     return SimOutcome(
         total_cycles=clock.t_max,

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from dimcsim import oracle
 from dimcsim.cli import load_workload
-from dimcsim.geometry import PrecisionMode, QuantConfig
+from dimcsim.geometry import ROWS, PrecisionMode, QuantConfig
 from dimcsim.isa import DcF, DcP, DlI, DlM
 from dimcsim.machine import _Machine
 from dimcsim.mapper import LayerDescriptor, lower, plan_mapping
 from dimcsim.sim import (CLASSES, INSTRUCTION_KINDS, NUM_VREGS, Barrier, Program, Repeat,
                          SimulationError, TimingModel, VClear, VLoad, VStore, _Clock,
-                         _BARRIER, _LOOP, _NEVER, _ROW_KEY, _UNIT_KEY, _Run, _kinds,
+                         _NEVER, _ROW_KEY, _UNIT_KEY, _kinds,
                          _scoreboard, execute, run_layer)
 from dimcsim.tile import DimcTile
 
@@ -224,10 +224,15 @@ def test_gather_past_register_file_reports_pc(body, pc):
     assert err.value.pc == pc
 
 
-@pytest.mark.parametrize("rows", [-1, True, 1.0])
-def test_repeat_rows_must_be_a_non_negative_integer(rows):
-    with pytest.raises(ValueError, match="rows"):
-        Repeat(2, (), rows=rows)
+@pytest.mark.parametrize("field, value", [
+    ("count", -1), ("count", True), ("count", 1.5),
+    ("rows", -1), ("rows", True), ("rows", 1.0),
+    ("strides", (1.5,)), ("strides", (8, True))],
+    ids=["count--1", "count-True", "count-1.5", "rows--1", "rows-True", "rows-1.0",
+         "strides-1.5", "strides-True"])
+def test_repeat_count_rows_and_strides_must_be_integers(field, value):
+    with pytest.raises(ValueError, match=f"repeat {field}"):
+        Repeat(**{"count": 2, "body": (), field: value})
 
 
 @pytest.mark.parametrize("body, pc", [
@@ -257,6 +262,25 @@ def test_static_fault_is_raised_when_the_program_is_built():
     with pytest.raises(SimulationError, match="vclear register 40") as err:
         Program((VLoad(1, 1000), VClear(40)))
     assert err.value.pc == 1
+
+
+@pytest.mark.parametrize("ins, message", [
+    (VLoad(1.0, 0), "vload register 1.0 out of range"),
+    (VLoad(True, 0), "vload register True out of range"),
+    (VLoad(1, 0.5), "vload address 0.5 is not an integer"),
+    (VLoad(1, 0, 1.0), "vload address region 1.0 out of range"),
+    (VStore(2.0, 8), "vstore register 2.0 out of range"),
+    (VStore(2, False), "vstore address False is not an integer"),
+    (VStore(2, 8, True), "vstore address region True out of range"),
+    (VClear(3.0), "vclear register 3.0 out of range"),
+], ids=["vload-register-float", "vload-register-bool", "vload-address", "vload-region",
+        "vstore-register", "vstore-address-bool", "vstore-region-bool", "vclear-register"])
+def test_field_that_is_not_an_int_is_a_static_fault(ins, message):
+    # a bool or a float would index a register, a region or the memory
+    # image wrongly, or fail in the data half; it is rejected with its pc
+    with pytest.raises(SimulationError, match=message) as err:
+        Program((VClear(1), Repeat(2, (VClear(2),)), ins))
+    assert err.value.pc == 3
 
 
 @pytest.mark.parametrize("kind", [VLoad, VStore])
@@ -649,7 +673,7 @@ def test_walk_leaves_the_state_of_the_unrolled_walk(body, timing):
     # program, which has no loop, leaves
     def walked(nodes):
         clock = _Clock(_kinds(timing), None, walk=True)
-        clock.run(clock.compile(Program(nodes).body)[0])
+        clock.run(clock.compile(Program(nodes).parts)[0])
         return clock.ready, clock.cycles, clock.t_last, clock.t_max, clock.pending
 
     assert walked(body) == walked(tuple(_unrolled(body)))
@@ -677,19 +701,89 @@ def test_counts_are_those_of_the_unrolled_program(body):
     assert execute(prog(body)).counts_by_class == counts
 
 
+def _executed(nodes, row=0):
+    """(instruction, weight-row advance) of each instruction the unrolled
+    program runs, in order; unlike ``_unrolled`` it keeps each record as
+    written, since a row advanced past the last makes no valid record."""
+    for node in nodes:
+        if isinstance(node, Repeat):
+            for n in range(node.count):
+                yield from _executed(node.body, row + n * node.rows)
+        elif not isinstance(node, Barrier):
+            yield node, row
+
+
+def _cannot_execute(ins, row):
+    """Whether ``ins`` faults with its weight row advanced by ``row``, from
+    the register file, the regions and the tile's rows."""
+    if isinstance(ins, (VLoad, VStore, VClear)):
+        reg = ins.vs1 if isinstance(ins, VStore) else ins.vd
+        return reg not in range(NUM_VREGS) or (
+            not isinstance(ins, VClear) and ins.region not in range(3))
+    if isinstance(ins, (DlI, DlM)) and ins.vs1 + ins.nvec > NUM_VREGS:
+        return True
+    return isinstance(ins, (DlM, DcP, DcF)) and ins.m_row + row >= ROWS
+
+
+_any_reg = st.integers(0, NUM_VREGS - 1)
+_any_row = st.integers(0, ROWS - 1)
+_checked = st.one_of(
+    st.builds(VLoad, vd=_any_reg, addr=st.just(0), region=st.integers(0, 2)),
+    st.builds(VStore, vs1=_any_reg, addr=st.just(0), region=st.integers(0, 2)),
+    # now and then a register past the last
+    st.builds(VClear, vd=st.integers(0, NUM_VREGS + 3)),
+    st.builds(DlI, vs1=_any_reg, nvec=st.integers(1, 4), sec=st.integers(0, 3),
+              mask=st.integers(0, 15)),
+    st.builds(DlM, vs1=_any_reg, nvec=st.integers(1, 4), sec=st.integers(0, 3),
+              mask=st.integers(0, 15), m_row=_any_row),
+    st.builds(DcP, vs1=_regs, vd=_regs, sh=_bits, dh=_bits, m_row=_any_row),
+    st.builds(DcF, vs1=_regs, vd=_regs, sh=_bits, dh=_bits, m_row=_any_row,
+              bidx=st.integers(0, 3)),
+    st.just(Barrier()))
+# rows 0-31 advanced by up to 8 per iteration, so a row loop can leave the
+# tile at any iteration
+_checked_loop = st.builds(Repeat, count=st.integers(0, 9),
+                          body=st.lists(_checked, min_size=1, max_size=6),
+                          rows=st.integers(0, 8))
+_checked_nodes = st.one_of(_checked, _checked_loop, st.builds(
+    Repeat, count=st.integers(0, 6),
+    body=st.lists(st.one_of(_checked, _checked_loop), min_size=1, max_size=6),
+    rows=st.integers(0, 8)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(body=st.lists(_checked_nodes, max_size=6))
+# a Repeat(0) body never runs, with or without a row advance
+@example(body=[VClear(1), Repeat(0, (VClear(NUM_VREGS),)),
+               Repeat(0, (DlM(vs1=0, nvec=1, sec=0, mask=1, m_row=31),), rows=1)])
+def test_program_raises_at_the_first_instruction_the_unrolled_program_cannot_run(body):
+    # brute force: walk the unrolled program, count pcs, and stop at the
+    # first instruction that cannot execute at its row
+    bad = next(((pc, ins, row) for pc, (ins, row) in enumerate(_executed(body))
+                if _cannot_execute(ins, row)), None)
+    if bad is None:
+        Program(body)
+        return
+    pc, ins, row = bad
+    with pytest.raises(SimulationError) as err:
+        Program(body)
+    assert err.value.pc == pc
+    assert str(err.value) == f"pc {pc}: {_scoreboard(ins, row)}"
+
+
 def test_group_prologue_stays_one_run():
-    # a group's kernel loop compiles in line with the vclears before it:
+    # a group's kernel loop is laid out in line with the vclears before it:
     # one run writing every weight row of the group, not one run per kernel
-    kinds = _kinds(TimingModel())
     for name, layer in load_workload("resnet50").entries:
         for terminal in ("final", "partial"):
             lowering = lower(layer, terminal=terminal)
             layout, tiles = lowering._layout, plan_mapping(layer).tiling_factor
-            top, _ = _Clock(kinds, None).compile(lowering.program.body)
+            top = lowering.program.parts
             groups = []
             if layout.full:
-                (kind, count, body), *top = top
-                assert (kind, count) == (_LOOP, layout.full)
+                assert top[0].__class__ is tuple, name
+                (count, body), *top = top
+                assert count == layout.full
                 groups.append((body, layout.per_group))
             if layout.rest:
                 groups.append((tuple(top), layout.rest))
@@ -697,9 +791,10 @@ def test_group_prologue_stays_one_run():
                 assert not top, name
             for body, size in groups:
                 barrier, run, loop = body
-                assert barrier == (_BARRIER, None, None) and loop[0] == _LOOP, name
-                assert run.__class__ is _Run, name
-                rows = sorted(key for key, _ in run.stores if _ROW_KEY <= key < _UNIT_KEY)
+                assert barrier is None and loop.__class__ is tuple, name
+                assert run.__class__ is list, name
+                rows = sorted({key for _, _, writes, _ in run for key in writes
+                               if _ROW_KEY <= key < _UNIT_KEY})
                 assert rows == list(range(_ROW_KEY, _ROW_KEY + size * tiles)), name
 
 
@@ -749,7 +844,7 @@ def test_cold_guard_offsets_are_exact(run, timing):
     # an entry key ready exactly at its guard offset leaves the compiled
     # schedule as it is; ready one cycle later, it delays the run
     kinds = _kinds(timing)
-    (compiled,), _ = _Clock(kinds, []).compile(tuple(run))
+    (compiled,), _ = _Clock(kinds, []).compile(Program(run).parts)
 
     def issued(key, ready):
         clock = _Clock(kinds, [], ready=_NEVER)
