@@ -60,12 +60,13 @@ rejects a row that leaves the tile in any iteration.
 
 Addresses never reach the timing half, but rows are scoreboard keys: every
 later pass of a row-advancing ``Repeat`` writes new keys, so it could never
-reach a steady state. ``Program``'s one walk over its nodes therefore lays
-such a loop out in line: each iteration's instructions, their rows
-advanced by its offset, join the straight-line run around it, and only a
-barrier or another loop in its body closes that run. The data half reads
-the loop with the same row offset and walks it, since a batch keeps only
-its last iteration's rows.
+reach a steady state. ``Program``'s one walk over its nodes therefore keeps
+such a loop in the straight-line run around it, as its first iteration's
+instructions, which the timing half schedules once and applies to every
+iteration with the row keys advanced by its offset; a body holding a
+barrier or a loop is laid out in line, each iteration at its own row. The
+data half reads the loop with the same row offset and walks it, since a
+batch keeps only its last iteration's rows.
 
 The same walk lays out every straight-line run of the program as its
 instructions' scoreboard entries, once per program. The timing half
@@ -93,9 +94,10 @@ they do.
 Every fault but an out-of-bounds access, which the data half reports with
 the pc the unrolled program reaches it at, is static: ``Program``'s walk
 rejects it where it lays the instruction out, at that pc, and counts the
-instructions per class on the way. A row loop's iterations are laid out
-one by one, so each is checked at its own row. ``execute`` reports those
-counts, so neither half counts instructions.
+instructions per class on the way. Only the rows of a row loop's
+iterations differ, so its first iteration and the highest row of its last
+one check them all. ``execute`` reports those counts, so neither half
+counts instructions.
 """
 
 from __future__ import annotations
@@ -216,10 +218,10 @@ class Program:
     instruction that cannot execute, with SimulationError and the pc the
     unrolled program reaches it at, and counts the unrolled program's
     instructions per class in ``counts``. It also lays out ``parts``, which
-    the timing half schedules once per timing table: a run (a list of
-    scoreboard entries) for each straight-line stretch, a row loop's
-    iterations included, None for a barrier, and (count, parts of its body)
-    for a loop without a row advance.
+    the timing half schedules once per timing table: a run (lists of
+    scoreboard entries and kernel loops) for each straight-line stretch,
+    None for a barrier, and (count, parts of its body) for a loop without a
+    row advance.
     """
 
     body: tuple
@@ -381,49 +383,74 @@ def _scoreboard(ins, row: int):
 def _lay_out(nodes, pc: int, row: int, counts: list, parts: list) -> None:
     """Lay out ``nodes``, their weight rows advanced by ``row``, at the end
     of ``parts``, and count their instructions per class into ``counts``.
-    Each scoreboard entry joins the open run, the list that ends ``parts``;
-    a barrier (None) closes it, as does a loop without a row advance, laid
-    out once as (count, parts). A row loop's iterations join the open run at
-    their own rows, and a Repeat(0) body never runs. The first instruction
-    that cannot execute raises at its unrolled pc: ``pc`` plus the
-    instructions ``counts`` holds by then."""
-    run = parts[-1] if parts and parts[-1].__class__ is list else None
+    The open run, the list that ends ``parts``, takes lists of scoreboard
+    entries and, for a row loop with a straight-line body, kernel loops
+    (count, rows, first iteration's entries); other row loops are laid out
+    in line, each iteration at its own row. A barrier (None) closes the run,
+    as does a loop without a row advance, laid out as (count, parts). A
+    Repeat(0) body never runs. The first instruction that cannot execute
+    raises at its unrolled pc: ``pc`` plus the instructions ``counts`` holds
+    by then."""
+    entries = None
     for node in nodes:
         cls = node.__class__
         if cls is Repeat:
-            if node.rows:
+            if not node.count:
+                continue
+            entries = None
+            if node.rows and any(n.__class__ is Repeat or n.__class__ is Barrier
+                                 for n in node.body):
                 for n in range(node.count):
                     _lay_out(node.body, pc, row + n * node.rows, counts, parts)
-                run = parts[-1] if parts and parts[-1].__class__ is list else None
-            elif node.count:
-                inner, body = [0] * len(CLASSES), []
-                _lay_out(node.body, pc + sum(counts), row, inner, body)
+                continue
+            inner, body = [0] * len(CLASSES), []
+            _lay_out(node.body, pc + sum(counts), row, inner, body)
+            if not node.rows:
                 parts.append((node.count, tuple(body)))
-                run = None
-                counts[:] = [c + node.count * n for c, n in zip(counts, inner)]
+            elif body:
+                # only the rows move: lay out the first iteration to leave
+                # the tile, if the last one does, so that it raises
+                top = max((n.m_row + row for n in node.body if n.__class__ in (DlM, DcP, DcF)),
+                          default=None)
+                if top is not None and top + (node.count - 1) * node.rows >= ROWS:
+                    n = (ROWS - top + node.rows - 1) // node.rows
+                    _lay_out(node.body, pc + sum(counts) + n * sum(inner), row + n * node.rows,
+                             [0] * len(CLASSES), [])
+                _open(parts).append((node.count, node.rows, body[0][0]))
+            counts[:] = [c + node.count * n for c, n in zip(counts, inner)]
         elif cls is Barrier:
             parts.append(None)
-            run = None
+            entries = None
         else:
             entry = _scoreboard(node, row)
             if entry.__class__ is str:
                 raise SimulationError(entry, pc=pc + sum(counts))
-            if run is None:
-                run = []
-                parts.append(run)
-            run.append(entry)
+            if entries is None:
+                run = _open(parts)
+                if not run or run[-1].__class__ is not list:
+                    run.append([])
+                entries = run[-1]
+            entries.append(entry)
             counts[_CLASS_INDEX[entry[0]]] += 1
 
 
+def _open(parts) -> list:
+    """The open run, the list that ends ``parts``, opened if there is none."""
+    if not parts or parts[-1].__class__ is not list:
+        parts.append([])
+    return parts[-1]
+
+
 class _Run:
-    """A straight-line run scheduled once, by the same kernel that issues
-    its ``entries`` (each instruction's scoreboard entry) when its guard
-    fails, from a scoreboard at _NEVER so that no entry value delays its
-    first issue. Every output is an offset from that issue: ``gaps`` each
-    class's cycles as (class, cycles), ``stores`` each key's last write as
-    (key, offset), ``peak`` the latest completion, ``tail`` the last issue,
-    ``rows`` (completion, class name, mnemonic) per instruction when
-    traced, else None; ``last`` is the class of the last issue.
+    """A straight-line run scheduled once, from a scoreboard at _NEVER so
+    that no entry value delays its first issue, by replaying its ``items``
+    as a failed guard does: lists of scoreboard entries, and kernel loops as
+    (count, rows, _Run of one iteration). Every output is an offset from the
+    first issue: ``gaps`` each class's cycles as (class, cycles), ``stores`` each
+    key's last write as (key, offset), ``peak`` the latest completion,
+    ``tail`` the last issue, ``rows`` (completion, class name, mnemonic) per
+    instruction when traced, else None; ``last`` is the class of the last
+    issue.
 
     The schedule holds exactly when the entry value of each key the run
     reads before writing is ready by the offset of its first reader.
@@ -435,9 +462,13 @@ class _Run:
     the loop body is this run alone, those are the only keys a later pass
     reads before it writes them, in its guard or when it issues one by one,
     so a pass with another after it stores only ``live``.
+
+    A kernel loop's iteration has one guard for every pass, ``live`` all of
+    ``stores``, and its weight-row stores, which pass n advances by
+    n * rows, apart in ``moved``.
     """
 
-    __slots__ = ("entries", "gaps", "stores", "live", "peak", "tail", "rows", "last",
+    __slots__ = ("items", "gaps", "stores", "moved", "live", "peak", "tail", "rows", "last",
                  "guards")
 
 
@@ -452,6 +483,11 @@ def _kinds(timing: TimingModel) -> dict:
 _NEVER = -math.inf
 
 
+def _moved(keys, shift: int) -> tuple:
+    """``keys`` with every weight-row key advanced by ``shift`` rows."""
+    return tuple(k + shift if _ROW_KEY <= k < _UNIT_KEY else k for k in keys)
+
+
 class _Clock:
     """The timing half: a scoreboard advanced over a program's laid-out
     parts (``Program.parts``), compiled once per timing table.
@@ -462,16 +498,17 @@ class _Clock:
     the cycle its value is ready or its unit is free again. One kernel,
     ``_issue_each``, turns scoreboard entries into issue times, class gaps,
     stores and completions: it compiles each run on a scratch clock at
-    _NEVER, and issues a run whose guard fails. ``_issue`` advances the
-    state over a run, or over every pass of a walked loop whose body is one
-    run; the extrapolating and the walking run both go through it, and it
-    is the only writer of the trace.
+    _NEVER, and issues a run whose guard fails. ``_issue`` applies a run's
+    schedule, over every pass of a walked loop whose body is one run or
+    every iteration of a kernel loop; the extrapolating and the walking run
+    both go through it, and it is the only writer of the trace.
     """
 
     def __init__(self, kinds: dict, trace, walk: bool = False, ready=0):
         self.kinds = kinds
         self.trace = trace
-        self.run_loop = self._walk_loop if walk else self._extrapolate_loop
+        # a plain function: a bound method would make every clock a cycle
+        self.run_loop = _Clock._walk_loop if walk else _Clock._extrapolate_loop
         self.ready = [ready] * _SCOREBOARD_KEYS
         # the extra slot takes the (meaningless) gap before the first issue
         self.cycles = [0] * (len(CLASSES) + 1)
@@ -503,16 +540,18 @@ class _Clock:
                 run.live = tuple((key, c) for key, c in run.stores if key in warm)
         return tuple(body), written
 
-    def _compile_run(self, entries) -> _Run:
-        """Schedule the scoreboard entries of one straight-line run to a _Run
-        by issuing them through ``_issue_each`` on a scratch clock whose keys
-        are all at _NEVER, so no entry value delays it and the first issue
-        is at offset 0."""
+    def _compile_run(self, items) -> _Run:
+        """Schedule the items of one straight-line run to a _Run by replaying
+        them on a scratch clock whose keys are all at _NEVER, so no entry
+        value delays it and the first issue is at offset 0; each kernel
+        loop's body is scheduled once."""
+        items = [item if item.__class__ is list else item[:2] + (self._iteration(item[2]),)
+                 for item in items]
         scratch = _Clock(self.kinds, None if self.trace is None else [], ready=_NEVER)
         waits = {}
-        scratch._issue_each(entries, waits)
+        scratch._replay(items, 0, waits)
         run = _Run()
-        run.entries = entries
+        run.items = items
         run.gaps = tuple((c, n) for c, n in enumerate(scratch.cycles[:len(CLASSES)]) if n)
         run.stores = tuple((key, c) for key, c in enumerate(scratch.ready) if c != _NEVER)
         run.peak = scratch.t_max
@@ -521,6 +560,16 @@ class _Clock:
         run.last = scratch.pending
         # compile turns these into the cold and warm guards
         run.guards = waits
+        return run
+
+    def _iteration(self, entries) -> _Run:
+        """The schedule of a kernel loop's first iteration, its weight-row
+        stores apart in ``moved``; every pass stores all the others."""
+        run = self._compile_run([entries])
+        stores, waits = run.stores, run.guards
+        run.moved = tuple(s for s in stores if _ROW_KEY <= s[0] < _UNIT_KEY)
+        run.live = run.stores = tuple(s for s in stores if not _ROW_KEY <= s[0] < _UNIT_KEY)
+        run.guards = ((tuple(waits), tuple(waits.values())),) * 2
         return run
 
     def run(self, body, warm: bool = False) -> None:
@@ -537,40 +586,66 @@ class _Clock:
                     self.cycles[self.pending] += drained - self.t_last
                     self.t_last = drained
             else:
-                self.run_loop(*part)
+                self.run_loop(self, *part)
 
-    def _issue(self, run: _Run, warm: bool, passes: int = 1) -> None:
+    def _issue(self, run: _Run, warm: bool, passes: int = 1, rows: int = 0,
+               waits: dict | None = None) -> None:
         """Issue ``passes`` back-to-back passes of a straight-line run, the
         first under the guard ``warm`` selects and the rest under the warm
-        one: each pass its compiled schedule, shifted to the cycle after the
-        last issue, when its guard shows that no entry value binds, else its
-        instructions one by one. A pass applying its schedule stores only
-        ``live`` while another pass follows it, since the next pass writes
-        every other key before reading it."""
+        one, pass n with its weight-row keys advanced by n * ``rows``: each
+        its compiled schedule, applied at the cycle after the last issue,
+        when its guard shows that no entry value binds, else its items
+        replayed. A pass applying its schedule stores only ``live`` while
+        another pass follows it, since the next pass writes every other key
+        before reading it. ``waits`` records, as ``_issue_each`` does, the
+        first reader of a key still at _NEVER."""
         ready, cycles, trace = self.ready, self.cycles, self.trace
         t_last, t_max, pending = self.t_last, self.t_max, self.pending
-        gaps, live, peak, tail, rows = run.gaps, run.live, run.peak, run.tail, run.rows
+        gaps, live, peak, tail, traced = run.gaps, run.live, run.peak, run.tail, run.rows
+        shift = 0
         for left in range(passes - 1, -1, -1):
             t = t_last + 1
             keys, offsets = run.guards[warm]
+            if rows:
+                shift = (passes - 1 - left) * rows
+                keys = _moved(keys, shift)
             if keys and max(map(sub, map(ready.__getitem__, keys), offsets)) > t:
                 self.t_last, self.t_max, self.pending = t_last, t_max, pending
-                self._issue_each(run.entries)
+                self._replay(run.items, shift, waits)
                 t_last, t_max, pending = self.t_last, self.t_max, self.pending
             else:
+                if waits is not None:
+                    for key, c in zip(keys, offsets):
+                        if ready[key] == _NEVER:
+                            waits.setdefault(key, t + c)
                 cycles[pending] += 1
                 for cls, n in gaps:
                     cycles[cls] += n
                 for key, c in live if left else run.stores:
                     ready[key] = t + c
+                if rows:
+                    for key, c in run.moved:
+                        ready[key + shift] = t + c
                 if t + peak > t_max:
                     t_max = t + peak
                 t_last = t + tail
                 pending = run.last
-                if rows is not None:
-                    trace.extend([(t + c, name, mnemonic) for c, name, mnemonic in rows])
+                if traced is not None:
+                    trace.extend([(t + c, name, mnemonic) for c, name, mnemonic in traced])
             warm = True
         self.t_last, self.t_max, self.pending = t_last, t_max, pending
+
+    def _replay(self, items, shift: int = 0, waits: dict | None = None) -> None:
+        """Issue a run's items, weight-row keys advanced by ``shift``: entries
+        one by one, kernel loops an iteration at a time."""
+        for item in items:
+            if item.__class__ is list:
+                self._issue_each([(kind, _moved(reads, shift), _moved(writes, shift), mnemonic)
+                                  for kind, reads, writes, mnemonic in item] if shift else item,
+                                 waits)
+            else:
+                count, rows, run = item
+                self._issue(run, False, count, rows, waits)
 
     def _issue_each(self, entries, waits: dict | None = None) -> None:
         """Issue instructions one by one, from their scoreboard entries,

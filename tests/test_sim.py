@@ -13,7 +13,7 @@ from dimcsim.machine import _Machine
 from dimcsim.mapper import LayerDescriptor, lower, plan_mapping
 from dimcsim.sim import (CLASSES, INSTRUCTION_KINDS, NUM_VREGS, Barrier, Program, Repeat,
                          SimulationError, TimingModel, VClear, VLoad, VStore, _Clock,
-                         _NEVER, _ROW_KEY, _UNIT_KEY, _kinds,
+                         _NEVER, _ROW_KEY, _UNIT_KEY, _Run, _kinds,
                          _scoreboard, execute, run_layer)
 from dimcsim.tile import DimcTile
 
@@ -772,8 +772,9 @@ def test_program_raises_at_the_first_instruction_the_unrolled_program_cannot_run
 
 
 def test_group_prologue_stays_one_run():
-    # a group's kernel loop is laid out in line with the vclears before it:
-    # one run writing every weight row of the group, not one run per kernel
+    # a group's kernel loop stays one item of the run that holds the vclears
+    # before it: one run writing every weight row of the group, not one run
+    # per kernel
     for name, layer in load_workload("resnet50").entries:
         for terminal in ("final", "partial"):
             lowering = lower(layer, terminal=terminal)
@@ -793,8 +794,14 @@ def test_group_prologue_stays_one_run():
                 barrier, run, loop = body
                 assert barrier is None and loop.__class__ is tuple, name
                 assert run.__class__ is list, name
-                rows = sorted({key for _, _, writes, _ in run for key in writes
-                               if _ROW_KEY <= key < _UNIT_KEY})
+                *clears, (count, step, entries) = run
+                assert (count, step) == (size, tiles), name
+                assert all(item.__class__ is list for item in clears), name
+                written = {key for _, _, writes, _ in entries for key in writes
+                           if _ROW_KEY <= key < _UNIT_KEY}
+                assert not {key for item in clears for _, _, writes, _ in item for key in writes
+                            if _ROW_KEY <= key < _UNIT_KEY}, name
+                rows = sorted({key + n * step for n in range(count) for key in written})
                 assert rows == list(range(_ROW_KEY, _ROW_KEY + size * tiles)), name
 
 
@@ -861,6 +868,120 @@ def test_cold_guard_offsets_are_exact(run, timing):
         assert tuple((c, n) for c, n in enumerate(clock.cycles[:3]) if n) == compiled.gaps
         assert clock.trace == compiled.rows
         assert issued(key, offset + 1).trace != compiled.rows
+
+
+def _inline_compile(clock, items):
+    """The _Run of a run's items as an in-line compile makes it: every
+    kernel loop unrolled, each iteration's weight-row keys advanced by its
+    offset, and the whole run issued one by one on a scratch clock at
+    _NEVER."""
+    def advanced(keys, shift):
+        return tuple(k + shift if _ROW_KEY <= k < _UNIT_KEY else k for k in keys)
+
+    entries = []
+    for item in items:
+        if item.__class__ is list:
+            entries.extend(item)
+        else:
+            count, rows, body = item
+            entries.extend((kind, advanced(reads, n * rows), advanced(writes, n * rows), name)
+                           for n in range(count) for kind, reads, writes, name in body)
+    scratch = _Clock(clock.kinds, None if clock.trace is None else [], ready=_NEVER)
+    waits = {}
+    scratch._issue_each(entries, waits)
+    run = _Run()
+    run.gaps = tuple((c, n) for c, n in enumerate(scratch.cycles[:3]) if n)
+    run.stores = tuple((key, c) for key, c in enumerate(scratch.ready) if c != _NEVER)
+    run.peak, run.tail, run.rows, run.last = (scratch.t_max, scratch.t_last, scratch.trace,
+                                              scratch.pending)
+    run.guards = waits
+    return run
+
+
+def _fields(body):
+    """Every field of every compiled run of a compiled body, in order."""
+    for part in body:
+        if part.__class__ is _Run:
+            yield tuple(getattr(part, name) for name in
+                        ("gaps", "stores", "live", "guards", "peak", "tail", "last", "rows"))
+        elif part is not None:
+            yield from _fields(part[1])
+
+
+# m_row 0-3 advanced by at most 4 over at most 6 iterations stays below
+# row 32 (3 + 4 * 5 = 23)
+_kernel_loop = st.builds(
+    Repeat, count=st.integers(0, 6), rows=st.integers(1, 4), body=st.lists(st.one_of(
+        st.builds(VLoad, vd=_regs, addr=st.just(0), region=st.just(0)),
+        st.builds(DlM, vs1=_regs, nvec=st.integers(1, 4), sec=st.integers(0, 3),
+                  mask=st.integers(0, 15), m_row=_rows),
+        st.builds(DcP, vs1=_regs, vd=_regs, sh=_bits, dh=_bits, m_row=_rows),
+        st.builds(DcF, vs1=_regs, vd=_regs, sh=_bits, dh=_bits, m_row=_rows,
+                  bidx=st.integers(0, 3))), min_size=1, max_size=6))
+_kernel_nodes = st.one_of(_straight, _kernel_loop, st.builds(
+    Repeat, count=st.integers(1, 4),
+    body=st.lists(st.one_of(_instructions, _kernel_loop), min_size=1, max_size=5)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(body=st.lists(_kernel_nodes, min_size=1, max_size=5), timing=st.builds(
+    TimingModel, memory_latency=st.integers(1, 16),
+    latency=st.dictionaries(st.sampled_from(INSTRUCTION_KINDS), st.integers(1, 16)),
+    issue_interval=st.dictionaries(st.sampled_from(INSTRUCTION_KINDS), st.integers(1, 64))))
+# a Repeat(0) kernel loop lays out nothing, and charges no cycle
+@example(body=[VClear(1), Repeat(0, (DlM(vs1=0, nvec=1, sec=0, mask=1, m_row=0),), rows=1)],
+         timing=TimingModel())
+# a one-cycle memory behind a vload unit busy for 4 cycles: every later
+# iteration's guard fails on the vload unit the one before left busy
+@example(body=[Repeat(3, (VLoad(1, 0), VLoad(2, 0), DlM(vs1=1, nvec=2, sec=0, mask=3, m_row=0)),
+                      rows=1)],
+         timing=TimingModel(memory_latency=1, issue_interval={"vload": 4}))
+def test_kernel_loop_compiles_as_its_unrolled_run(body, timing):
+    # one schedule per kernel-loop body, applied per iteration under its
+    # advanced guard, compiles every run to the fields the unrolled run
+    # compiles to, traced or not
+    parts = prog(body).parts
+    for trace in (None, []):
+        clock = _Clock(_kinds(timing), trace)
+        compiled = list(_fields(clock.compile(parts)[0]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_Clock, "_compile_run", _inline_compile)
+            assert compiled == list(_fields(clock.compile(parts)[0]))
+    total, cycles, counts, rows = reference_schedule(body, timing)
+    traced = []
+    for out in (execute(prog(body), timing, bytearray(8)),
+                execute(prog(body), timing, trace=traced), execute(prog(body), timing)):
+        assert (out.total_cycles, out.cycles_by_class, out.counts_by_class) == (total, cycles,
+                                                                                 counts)
+    assert traced == rows
+
+
+def test_kernel_loop_body_is_scheduled_once_per_loop(monkeypatch):
+    # compiling ResNet-50 under the default table issues each list of
+    # entries and each kernel-loop body one by one once, not each iteration
+    calls = []
+    issue_each = _Clock._issue_each
+
+    def counted(clock, entries, waits=None):
+        if waits is not None:
+            calls.append(len(entries))
+        issue_each(clock, entries, waits)
+
+    def laid_out(parts):
+        for part in parts:
+            if part.__class__ is list:
+                for item in part:
+                    yield len(item) if item.__class__ is list else len(item[2])
+            elif part is not None:
+                yield from laid_out(part[1])
+
+    monkeypatch.setattr(_Clock, "_issue_each", counted)
+    kinds = _kinds(TimingModel())
+    for name, layer in load_workload("resnet50").entries:
+        parts = lower(layer).program.parts
+        calls.clear()
+        _Clock(kinds, None).compile(parts)
+        assert sorted(calls) == sorted(laid_out(parts)), name
 
 
 def _starts(nodes, offsets):
